@@ -85,9 +85,12 @@ def _merged(args, key: str, cast=str, default=None):
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        n_list = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"bad degree list {text!r}") from None
+    if any(n < 1 for n in n_list):
+        raise ConfigError(f"degrees must be positive, got {text!r}")
+    return n_list
 
 
 def _common_settings(args):

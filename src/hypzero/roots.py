@@ -1,14 +1,13 @@
 """Simultaneous root finding with certified displacement and residuals.
 
-Near the clustering curve the polynomial magnitude is about ``rho^n`` while
-its coefficient mass is about ``C(n, n/2)``, so from roughly n = 20 onward
-every point of an annulus evaluates to rounding noise in double precision:
-plain residuals certify nothing there.  The solver therefore works at a
-precision chosen from the measured dynamic range ``mass / rho_min^n``, seeds
-an Aberth-Ehrlich iteration from a jittered circle (or from the cheap double
-solve when that is available), and certifies the result by Newton polishing
-at higher precision: the polish displacement bounds the solver error in the
-root metric, which is the quantity residuals cannot see.
+Near the clustering curve ``|p|`` is about ``rho^n`` while the monomial
+coefficient mass is about ``C(n, n/2)``: from n = 20 on, the zero annulus
+evaluates to rounding noise in double precision.  The zeros are therefore
+found in the Pfaff variable ``w = z/(z-1)``, whose coefficients are bounded
+(Aberth-Ehrlich in double, then in mpmath at the bits the w-basis dynamic
+range asks for), and certified in ``z`` by a Newton polish at the precision
+the monomial range ``mass / rho_min^n`` asks for: the polish displacement
+bounds the solver error in the root metric, which residuals cannot see.
 """
 
 from __future__ import annotations
@@ -23,11 +22,14 @@ import numpy as np
 import mpmath as mp
 
 from .errors import AccuracyError, DomainError
-from .hyperpoly import Polynomial, coefficients_mp
+from .hyperpoly import Polynomial, coefficients_mp, pfaff_coefficients_mp
 from .kernel import Alpha, DOUBLE, Precision
 from .saddle import level_constant
 
 _JITTER_SEED = 0x5EED
+# bits of the w-basis solve beyond its estimated conditioning loss
+_SOLVE_MARGIN = 96
+_MAX_BITS = 6000
 
 
 @dataclass(frozen=True)
@@ -108,53 +110,50 @@ def _aberth_double(coeffs: np.ndarray, init: np.ndarray,
 
 
 def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
-    """Aberth-Ehrlich sweeps in mpmath at the ambient working precision.
+    """Aberth-Ehrlich sweeps at the ambient mpmath precision.
 
-    The Newton term is evaluated at full precision; the pairwise repulsion
-    sum runs in double precision, which is harmless because the iteration's
-    fixed points are exactly the zeros of p regardless of that term's
-    accuracy (it only shapes the basins).  Stops at the update tolerance or
-    once updates stagnate near the conditioning floor; the caller's Newton
-    polish finishes the remaining digits.
+    ``p`` and ``p'`` come from one Horner pass in binary fixed point with
+    that many fractional bits, several times faster than mpmath numbers and,
+    as ``|c_0| = 1``, as accurate relative to the coefficient mass.  The
+    repulsion runs in double precision: it shapes the basins, not the fixed
+    points.  A root stops once its relative update is below
+    ``2^-(margin/2)``, which puts it at the ``2^-margin`` floor.
     """
     n = len(coeffs_mp) - 1
-    dcoeffs = [coeffs_mp[k] * k for k in range(1, n + 1)]
+    f = mp.mp.prec   # fractional bits of the fixed-point Horner
+    fixed = [(int(mp.ldexp(c.real, f)), int(mp.ldexp(c.imag, f)))
+             for c in reversed(coeffs_mp)]
     z = [mp.mpc(v) for v in init]
-    tol = mp.mpf(2) ** (-mp.mp.prec + 8)
-    sweeps = 0
-    best = mp.inf
+    tol = 2.0 ** (-_SOLVE_MARGIN // 2)
+    active = range(n)
+    best = math.inf
     stale = 0
     for sweeps in range(1, max_sweeps + 1):
         zd = np.array([complex(zi) for zi in z])
-        diff = zd[:, None] - zd[None, :]
-        np.fill_diagonal(diff, np.inf)
-        small = np.abs(diff) < 1e-250
-        if small.any():
-            diff = np.where(small, 1e-250, diff)
-        repulse = np.sum(1.0 / diff, axis=1)
-        wmax = mp.mpf(0)
-        znew = []
-        for i in range(n):
-            zi = z[i]
-            pv = _horner(coeffs_mp, zi)
-            dv = _horner(dcoeffs, zi)
-            d = dv if dv != 0 else mp.mpf(1e-300)
-            newton = pv / d
-            den = 1 - newton * mp.mpc(repulse[i])
-            if den == 0:
-                den = mp.mpf(1e-300)
-            w = newton / den
-            znew.append(zi - w)
-            wmax = max(wmax, abs(w) / (1 + abs(zi)))
-        z = znew
-        if wmax < tol:
+        diff = zd[active, None] - zd[None, :]
+        diff[np.arange(len(active)), active] = np.inf
+        diff[np.abs(diff) < 1e-250] = 1e-250
+        moved = []
+        for i, rep in zip(active, np.sum(1.0 / diff, axis=1)):
+            x, y = int(mp.ldexp(z[i].real, f)), int(mp.ldexp(z[i].imag, f))
+            pr = pm = dr = dm = 0
+            for cr, cm in fixed:
+                dr, dm = ((dr * x - dm * y) >> f) + pr, ((dr * y + dm * x) >> f) + pm
+                pr, pm = ((pr * x - pm * y) >> f) + cr, ((pr * y + pm * x) >> f) + cm
+            newton = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
+            den = 1 - newton * mp.mpc(rep)
+            w = newton / (den if den != 0 else mp.mpf(1e-300))
+            moved.append(float(abs(w) / (1 + abs(z[i]))))
+            z[i] -= w
+        active = [i for i, m in zip(active, moved) if m >= tol]
+        if not active:
             break
-        if wmax < 0.5 * best:
-            best = wmax
+        if max(moved) < 0.5 * best:
+            best = max(moved)
             stale = 0
         else:
             stale += 1
-            if stale >= 4 and wmax < 1e-8:
+            if stale >= 4 and max(moved) < 1e-8:
                 break
     return z, sweeps
 
@@ -179,7 +178,10 @@ def _certify_bits(p: Polynomial) -> int:
         math.log(abs(c) + 1e-300) + k * math.log(radius) for k, c in enumerate(p.coeffs))
     rho_min = 0.25 * level_constant(p.alpha)
     bits = int((log_mass - n * math.log(rho_min)) / math.log(2.0)) + 80
-    return min(max(bits, 120), 6000)
+    if bits > _MAX_BITS:
+        raise DomainError(f"find_roots: certifying degree {n} needs {bits} "
+                          f"bits, above the {_MAX_BITS}-bit ceiling")
+    return max(bits, 120)
 
 
 def _polish_and_measure(p: Polynomial, approx, bits: int):
@@ -213,48 +215,52 @@ def _polish_and_measure(p: Polynomial, approx, bits: int):
     return polished, displacement, residuals
 
 
+def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
+    """Radius ``r = |d_0/d_n|^(1/n)``, the coefficients of ``q(r*u)`` in
+    double (``|q_0| = |q_n| = 1``: nothing under- or overflows) and the bits
+    of the w-basis solve: the largest term of ``sum_k |q_k| 1.5^k``, on a
+    circle just outside the zeros, exceeds the largest root condition number
+    by 1-7 bits at n = 15..120 (about n bits; 4n in the monomial basis).
+    """
+    n = p.degree
+    k = np.arange(n)
+    ratio = (k - n) / (p.alpha.value * n + p.b_offset + 1 + k)
+    radius = math.exp(-float(np.mean(np.log(np.abs(ratio)))))
+    q = np.cumprod(np.concatenate(([1 + 0j], radius * ratio)))
+    peak = np.max(np.log2(np.abs(q)) + np.arange(n + 1) * math.log2(1.5))
+    return radius, q, int(peak) + _SOLVE_MARGIN
+
+
 def find_roots(p: Polynomial, precision: Precision = DOUBLE,
                residual_tol: float = 1e-10, seed: int = _JITTER_SEED) -> ZeroSet:
     """All ``n`` zeros of ``p`` with certified residuals.
 
-    The requested precision is a floor; the solve escalates automatically
-    when the certification precision shows the cheap solve misplaced roots
-    (large polish displacement, merged roots) or left residuals above
-    ``residual_tol``.  Fixed seed and sweep order make the result
-    deterministic for a given input.
+    Solved in ``w = z/(z-1)`` and certified in ``z`` at no less than
+    ``precision`` plus 64 bits.  The solve escalates to doubled bits when the
+    certification shows misplaced roots (large polish displacement, merged
+    roots) or residuals above ``residual_tol``.  Fixed seed and sweep order
+    make the result deterministic for a given input.
     """
     n = p.degree
     if n == 0:
         raise DomainError("find_roots: degree-0 polynomial has no roots")
-    coeffs = np.array(p.coeffs, dtype=complex)
-    init = _initial_circle(coeffs, seed)
-    approx, sweeps_double = _aberth_double(coeffs, init)
-
-    bits_needed = max(_certify_bits(p), precision.bits)
-    min_spacing_goal = 1e-3 / n
+    bits_cert = max(_certify_bits(p), precision.bits) + 64
+    radius, q, solve_bits = _pfaff_basis(p)
+    current, sweeps_double = _aberth_double(q, _initial_circle(q, seed))
     diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
-
-    current = [complex(z) for z in approx]
-    if precision.is_double and bits_needed <= 140:
-        solve_bits = 53
-    else:
-        # double resolution cannot certify this size; solve in mpmath from
-        # the double placement
-        solve_bits = bits_needed
-        with mp.workprec(solve_bits):
-            raw = coefficients_mp(n, p.alpha.value, p.b_offset)
-            current, sweeps_mp = _aberth_mp(raw, current)
-        diag["sweeps_mp"] = sweeps_mp
-    diag["bits_solve"] = solve_bits
-    bits_cert = max(2 * solve_bits, bits_needed)
-    if solve_bits > 53:
-        bits_cert = solve_bits + 64
-
     attempt = 0
     while True:
+        with mp.workprec(solve_bits):
+            r = mp.mpf(radius)
+            d = pfaff_coefficients_mp(n, p.alpha.value, p.b_offset)
+            current, sweeps_mp = _aberth_mp([c * r ** k for k, c in enumerate(d)],
+                                            current)
+            approx = [r * u / (r * u - 1) for u in current]
+        diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
+        diag["bits_solve"] = solve_bits
         diag["bits_certify"] = bits_cert
-        polished, disp, resid = _polish_and_measure(p, current, bits_cert)
-        pairwise_ok = _distinct(polished, min_spacing_goal)
+        polished, disp, resid = _polish_and_measure(p, approx, bits_cert)
+        pairwise_ok = _distinct(polished, 1e-3 / n)
         disp_ok = max(disp) <= 0.2 / n
         resid_ok = max(resid) <= residual_tol
         if pairwise_ok and disp_ok and resid_ok:
@@ -272,21 +278,15 @@ def find_roots(p: Polynomial, precision: Precision = DOUBLE,
                 achieved={"max_residual": max(resid),
                           "max_displacement": max(disp),
                           "distinct": pairwise_ok})
-        solve_bits = max(bits_cert, 2 * solve_bits)
-        with mp.workprec(solve_bits):
-            raw = coefficients_mp(n, p.alpha.value, p.b_offset)
-            current, sweeps_mp = _aberth_mp(raw, current)
-        diag[f"sweeps_mp_{attempt}"] = sweeps_mp
-        bits_cert = solve_bits + 64
+        solve_bits *= 2
+        bits_cert = 2 * bits_cert - 64   # twice the need, same 64-bit headroom
 
 
 def _distinct(points, min_gap: float) -> bool:
-    pts = [complex(z) for z in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < min_gap:
-                return False
-    return True
+    pts = np.array([complex(z) for z in points])
+    gap = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return not np.any(gap < min_gap)
 
 
 def _sorted_zeros(zeros):

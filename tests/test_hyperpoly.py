@@ -5,11 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hypzero.errors import DomainError
+from hypzero.errors import DomainError, HypzeroError
 from hypzero.hyperpoly import (Polynomial, coefficient_mass, coefficients,
                                coefficients_exact, coefficients_mp,
                                condition_scaled_residual, evaluate,
-                               evaluate_with_error, real_family_coefficients)
+                               evaluate_with_error, pfaff_coefficients_mp,
+                               real_family_coefficients)
 from hypzero.kernel import Alpha, Precision
 
 
@@ -147,3 +148,27 @@ def test_json_round_trip():
     back = Polynomial.from_json(shifted.to_json())
     assert back == shifted
     assert json.loads(shifted.to_json())["b_offset"] == 4.0
+
+
+@pytest.mark.parametrize("n,alpha,b_offset", [(12, 1.0 + 1.0j, 1.0),
+                                              (25, 2.0 - 1.0j, 1.0),
+                                              (20, 1.0, 4.0),
+                                              (9, 0.5, 1.75)])
+def test_pfaff_identity(n, alpha, b_offset):
+    # p(z) = (1-z)^n q(z/(z-1)), DLMF 15.8.1, for the main family and the
+    # shifted real family b = k*n + l + 1
+    with mp.workprec(256):
+        raw = coefficients_mp(n, alpha, b_offset)
+        d = pfaff_coefficients_mp(n, alpha, b_offset)
+        assert d[0] == 1
+        for z in (0.3 + 0.2j, 0.9 - 0.4j, 1.4 + 0.7j, -0.8 + 1.1j, 2.5j):
+            zm = mp.mpc(z)
+            want = mp.polyval(raw[::-1], zm)
+            got = (1 - zm) ** n * mp.polyval(d[::-1], zm / (zm - 1))
+            assert abs(got - want) <= mp.mpf(2) ** -200 * abs(want)
+
+
+def test_coefficients_beyond_double_range_raise():
+    # C(1100, 550) overflows a double; the error is the toolkit's own
+    with pytest.raises(HypzeroError, match="1100"):
+        coefficients(1100, Alpha(1.0, 1.0))

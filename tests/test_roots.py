@@ -1,11 +1,14 @@
 import json
 
+import mpmath as mp
+import numpy as np
 import pytest
 
-from hypzero.errors import DomainError
-from hypzero.hyperpoly import coefficients, real_family_coefficients
+from hypzero.errors import DomainError, HypzeroError
+from hypzero.hyperpoly import (coefficients, coefficients_mp,
+                               real_family_coefficients)
 from hypzero.kernel import Alpha, Precision
-from hypzero.roots import find_roots
+from hypzero.roots import _certify_bits, _distinct, find_roots
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
@@ -112,3 +115,59 @@ def test_escalation_recorded_for_large_degree():
     # double cannot certify n=50; the solver must have moved to wide mantissas
     assert zs.iterations["bits_solve"] > 53
     assert zs.iterations["max_displacement"] < 0.2 / 50
+
+
+def test_solve_precision_below_certification_precision():
+    # the w-basis solve runs well below the z-basis certification width
+    zs = find_roots(coefficients(60, AI))
+    assert zs.iterations["bits_solve"] < zs.iterations["bits_certify"]
+    assert zs.iterations["escalations"] == 0
+
+
+def test_zeros_agree_with_z_basis_newton_polish():
+    n = 40
+    zs = find_roots(coefficients(n, AI))
+    with mp.workprec(zs.iterations["bits_certify"]):
+        raw = coefficients_mp(n, AI.value)
+        draw = [raw[k] * k for k in range(1, n + 1)]
+        polished = []
+        for z0 in zs.zeros:
+            z = mp.mpc(z0)
+            for _ in range(12):
+                z -= mp.polyval(raw[::-1], z) / mp.polyval(draw[::-1], z)
+            polished.append(complex(z))
+    for z0, z in zip(zs.zeros, polished):
+        assert abs(z0 - z) <= 1e-12 * abs(z)
+    assert _distinct(polished, 1e-3 / n)
+
+
+def test_certify_bits_ceiling_raises():
+    # degree 900 at alpha = 3 + 0.5i needs more than the 6000-bit ceiling;
+    # the error names the bit count and comes before any solve
+    p = coefficients(900, Alpha(3.0, 0.5))
+    with pytest.raises(HypzeroError, match=r"needs \d+ bits"):
+        _certify_bits(p)
+    with pytest.raises(HypzeroError, match=r"needs \d+ bits"):
+        find_roots(p)
+    assert _certify_bits(coefficients(60, A1)) < 6000
+
+
+def _distinct_pairs(points, min_gap):
+    # reference: the plain O(n^2) pair loop
+    pts = [complex(z) for z in points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) < min_gap:
+                return False
+    return True
+
+
+def test_distinct_matches_pairwise_loop():
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        pts = rng.normal(size=12) + 1j * rng.normal(size=12)
+        if trial % 2:
+            pts[5] = pts[2] + 10.0 ** -rng.integers(1, 6)
+        for gap in (1e-4, 1e-2, 0.3):
+            assert _distinct(pts, gap) == _distinct_pairs(pts, gap)
+    assert _distinct([1.0 + 1.0j], 1.0)

@@ -156,6 +156,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["check", "--alpha-re", "1", "--precision", "bogus"]) == 2
 
 
+def test_cli_rejects_nonpositive_degrees(tmp_path):
+    out = str(tmp_path / "nz")
+    assert main(["check", "--n", "0", "--out", out]) == 2
+    assert main(["check", "--n", "5,-3", "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_cli_degree_beyond_double_range_fails_cleanly(tmp_path, capsys):
+    out = str(tmp_path / "big")
+    code = main(["check", "--n", "1100", "--out", out, "--format", "json"])
+    assert code in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_curve_and_region(tmp_path):
     out = str(tmp_path / "o2")
     assert main(["curve", "--alpha-re", "1", "--out", out,
