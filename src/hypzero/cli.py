@@ -16,19 +16,18 @@ ran with failures, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 
 from . import quadrature
 from .errors import ConfigError, HypzeroError
+from .flows import separatrices
 from .kernel import Alpha, parse_precision
 from .levelcurve import trace_level_curve
 from .saddle import descent_integral_estimate
-from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec,
-                     emit_report, region_map, render_svg,
-                     run_realcase_crosscheck, run_theorem_check)
+from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
+                     emit, emit_report, region_map, render_region_svg,
+                     render_svg, run_realcase_crosscheck, run_theorem_check)
 
 _OPTION_KEYS = ("alpha-re", "alpha-im", "n", "precision", "out", "format",
                 "tol-residual", "tol-boundary", "grid", "k", "l", "z")
@@ -150,21 +149,15 @@ def _cmd_region(args) -> int:
     if grid is None:
         grid = GridSpec(-1.0, 2.0, -1.5, 1.5, 20)
     rows = region_map(alpha, grid, boundary_tol=tolerances["boundary"])
-    os.makedirs(out_dir, exist_ok=True)
     bad = sum(1 for r in rows if r["label"].startswith("Error"))
-    if "json" in formats:
-        with open(os.path.join(out_dir, "region.json"), "w") as fh:
-            json.dump({"schema": "hypzero/1",
-                       "alpha": [alpha.eta, alpha.zeta],
-                       "grid": [grid.re0, grid.re1, grid.im0, grid.im1,
-                                grid.steps],
-                       "points": rows}, fh, sort_keys=True)
-    if "csv" in formats:
-        with open(os.path.join(out_dir, "region.csv"), "w") as fh:
-            fh.write("re,im,label,margin\n")
-            for r in rows:
-                fh.write(f"{r['z'][0]!r},{r['z'][1]!r},{r['label']},"
-                         f"{r['margin']!r}\n")
+    emit(out_dir, formats, {
+        "json": lambda: [("region.json", document(
+            alpha, grid=[grid.re0, grid.re1, grid.im0, grid.im1, grid.steps],
+            points=rows))],
+        "csv": lambda: [("region.csv", [("re", "im", "label", "margin"), *(
+            (*r["z"], r["label"], r["margin"]) for r in rows)])],
+        "svg": lambda: [("region.svg", render_region_svg(
+            rows, grid, separatrices(alpha)))]})
     print(f"region: {len(rows)} points, {bad} errors; wrote {out_dir}")
     return 0 if bad == 0 else 1
 
@@ -172,15 +165,10 @@ def _cmd_region(args) -> int:
 def _cmd_curve(args) -> int:
     alpha, _, out_dir, formats, tolerances, _ = _common_settings(args)
     curve = trace_level_curve(alpha, boundary_tol=tolerances["boundary"])
-    os.makedirs(out_dir, exist_ok=True)
-    if "json" in formats:
-        with open(os.path.join(out_dir, "curve.json"), "w") as fh:
-            json.dump({"schema": "hypzero/1",
-                       "alpha": [alpha.eta, alpha.zeta],
-                       "curve": curve.to_json_dict()}, fh, sort_keys=True)
-    if "svg" in formats:
-        with open(os.path.join(out_dir, "curve.svg"), "w") as fh:
-            fh.write(render_svg(curve, (), ()))
+    emit(out_dir, formats, {
+        "json": lambda: [("curve.json", document(
+            alpha, curve=curve.to_json_dict()))],
+        "svg": lambda: [("curve.svg", render_svg(curve, (), ()))]})
     print(f"curve: {len(curve.arcs)} arcs at constant {curve.constant:.8g}; "
           f"wrote {out_dir}")
     return 0
@@ -209,34 +197,29 @@ def _cmd_asym(args) -> int:
     points = _parse_points(z_text)
     n_list = _parse_n_list(n_text)
     rows = []
-    failures = 0
     for z in points:
         for n in n_list:
+            row = {"z": [z.real, z.imag], "n": n}
             try:
                 i1 = quadrature.descent_integral(
                     n, alpha, z, epsilon=1e-4 * (1.0 + abs(1.0 / z)))
                 est = descent_integral_estimate(n, z, alpha)
-                ratio = math.exp(i1.log_modulus - est.log_modulus)
-                rows.append({"z": [z.real, z.imag], "n": n, "ratio": ratio})
-                print(f"z={z:.6g} n={n}: |descent|/|leading| = {ratio:.6f}")
+                k = quadrature.endpoint_integral(n, alpha, z,
+                                                 check_region=False).k_value
+                row["ratio"] = math.exp(i1.log_modulus - est.log_modulus)
+                row["k_nth_root"] = abs(k) ** (1.0 / n)
+                print(f"z={z:.6g} n={n}: |descent|/|leading| = "
+                      f"{row['ratio']:.6f}, |K|^(1/n) = {row['k_nth_root']:.6f}")
             except HypzeroError as exc:
-                failures += 1
-                rows.append({"z": [z.real, z.imag], "n": n,
-                             "error": str(exc)})
+                row["error"] = str(exc)
                 print(f"z={z:.6g} n={n}: error {exc}")
-    os.makedirs(out_dir, exist_ok=True)
-    if "json" in formats:
-        with open(os.path.join(out_dir, "asym.json"), "w") as fh:
-            json.dump({"schema": "hypzero/1",
-                       "alpha": [alpha.eta, alpha.zeta], "rows": rows},
-                      fh, sort_keys=True)
-    if "csv" in formats:
-        with open(os.path.join(out_dir, "asym.csv"), "w") as fh:
-            fh.write("re,im,n,ratio\n")
-            for r in rows:
-                fh.write(f"{r['z'][0]!r},{r['z'][1]!r},{r['n']},"
-                         f"{r.get('ratio', '')!r}\n")
-    return 0 if failures == 0 else 1
+            rows.append(row)
+    emit(out_dir, formats, {
+        "json": lambda: [("asym.json", document(alpha, rows=rows))],
+        "csv": lambda: [("asym.csv", [("re", "im", "n", "ratio", "k_nth_root"), *(
+            (*r["z"], r["n"], r.get("ratio"), r.get("k_nth_root"))
+            for r in rows)])]})
+    return 0 if all("error" not in r for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

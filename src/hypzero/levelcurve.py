@@ -66,10 +66,13 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
                   max_arclength: float):
     """One branch of the level line from the saddle.
 
-    Closes on return to the saddle.  Branches that leave the principal
-    sheet may spiral into the origin or out to infinity instead of closing
-    (the continued level line of a complex-power modulus is a spiral); a
-    radius window truncates those with ``closed=False``.
+    Closes on return to the saddle.  For a non-real parameter the curve of
+    the principal ``z^alpha`` ends on the negative real axis: the branch
+    stops at its last vertex before the cut, with ``crossed_cut=True``, as
+    beyond it the continued line spirals off the principal sheet.  A real
+    parameter's modulus is single-valued, so its loop around 0 crosses the
+    axis on the same sheet and closes.  A radius window ends branches that
+    run into 0 or 1 or out to infinity with ``closed=False``.
     """
     w0 = alpha.saddle_base
     blowup = 4.0 * (1.0 + abs(w0))
@@ -129,6 +132,8 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
                                {"w": w, "err": err})
         if w_new.real < 0.0 and w.imag * w_new.imag < 0.0:
             crossed_cut = True
+            if not alpha.is_real_regime:
+                break
         prev_tangent = w_new - w
         arclength += abs(w_new - w)
         w = w_new
@@ -162,29 +167,16 @@ def trace_level_curve(alpha: Alpha, resolution: float | None = None,
     target = math.log(constant)
     max_arclength = 40.0 * (1.0 + abs(w0))
 
-    raw_arcs = []
+    arcs: list[Arc] = []
     for d in _branch_directions(alpha):
         pts, closed, crossed = _trace_branch(alpha, d, target, resolution,
                                              corrector_tol, max_arclength)
-        raw_arcs.append((pts, closed, crossed))
-
-    kept: list[tuple[list[complex], bool, bool]] = []
-    for pts, closed, crossed in raw_arcs:
-        mid = pts[len(pts) // 2]
-        duplicate = False
-        for kpts, _, _ in kept:
-            arr = np.asarray(kpts, dtype=complex)
-            if _min_dist_to_polyline(np.array([mid]), arr)[0] < 3.0 * resolution:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append((pts, closed, crossed))
-
-    arcs = []
-    for pts, closed, crossed in kept:
-        label = _label_arc(pts, alpha, boundary_tol)
-        arcs.append(Arc(points=tuple(pts), closed=closed, region=label,
-                        crossed_cut=crossed))
+        mid = np.array([pts[len(pts) // 2]])
+        if not any(_min_dist_to_polyline(mid, np.asarray(a.points, dtype=complex))[0]
+                   < 3.0 * resolution for a in arcs):
+            arcs.append(Arc(points=tuple(pts), closed=closed,
+                            region=_label_arc(pts, alpha, boundary_tol),
+                            crossed_cut=crossed))
     return LevelCurve(constant=constant, arcs=tuple(arcs), crossing_point=w0)
 
 
@@ -208,19 +200,27 @@ def _label_arc(pts, alpha: Alpha, boundary_tol: float) -> str:
     return BOUNDARY
 
 
-def _min_dist_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance from each point to a polyline via segment projection."""
+def _project(points, vertices: np.ndarray) -> list[tuple]:
+    """Nearest point of a polyline to each point, by segment projection:
+    ``(distance, segment index, parameter in [0, 1] along that segment)``.
+    One point at a time: a points-by-segments array would cost megabytes
+    on long arcs."""
     a = vertices[:-1]
-    b = vertices[1:]
-    ab = b - a
+    ab = np.diff(vertices)
     ab2 = np.abs(ab) ** 2
     ab2 = np.where(ab2 == 0, 1e-300, ab2)
-    out = np.empty(len(points))
-    for i, p in enumerate(points):
-        t = ((p - a) * np.conj(ab)).real / ab2
-        t = np.clip(t, 0.0, 1.0)
-        out[i] = np.min(np.abs(p - (a + t * ab)))
+    out = []
+    for p in points:
+        t = np.clip(((p - a) * np.conj(ab)).real / ab2, 0.0, 1.0)
+        d = np.abs(p - (a + t * ab))
+        i = int(np.argmin(d))
+        out.append((d[i], i, t[i]))
     return out
+
+
+def _min_dist_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Distance from each point to a polyline via segment projection."""
+    return np.array([d for d, _, _ in _project(points, vertices)])
 
 
 def coverage_gap(points, curve: LevelCurve) -> float:
@@ -243,18 +243,8 @@ def coverage_gap(points, curve: LevelCurve) -> float:
         seg_len = np.abs(np.diff(verts))
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         total = cum[-1]
-        params = []
-        a = verts[:-1]
-        b = verts[1:]
-        ab = b - a
-        ab2 = np.abs(ab) ** 2
-        ab2 = np.where(ab2 == 0, 1e-300, ab2)
-        for p in pts:
-            t = np.clip(((p - a) * np.conj(ab)).real / ab2, 0.0, 1.0)
-            d = np.abs(p - (a + t * ab))
-            i = int(np.argmin(d))
-            params.append(cum[i] + t[i] * seg_len[i])
-        params.sort()
+        params = sorted(cum[i] + t * seg_len[i]
+                        for _, i, t in _project(pts, verts))
         gaps = np.diff(params)
         if arc.closed:
             wrap = params[0] + total - params[-1]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -193,8 +192,10 @@ def _polish_and_measure(p: Polynomial, approx, bits: int):
         polished = []
         displacement = []
         residuals = []
+        mods = [abs(c) for c in raw]
         for z0 in approx:
             z = mp.mpc(z0)
+            last = mp.inf
             for _ in range(8):
                 pv = _horner(raw, z)
                 dv = _horner(draw, z)
@@ -202,13 +203,14 @@ def _polish_and_measure(p: Polynomial, approx, bits: int):
                     break
                 step = pv / dv
                 z = z - step
-                if abs(step) < mp.mpf(2) ** (-bits + 16) * (1 + abs(z)):
+                # converged, or stalled at the rounding floor of the mass:
+                # a Newton step that has not shrunk by 2^16 is noise
+                if (abs(step) < mp.mpf(2) ** (-bits + 16) * (1 + abs(z))
+                        or abs(step) > last * 2.0 ** -16):
                     break
+                last = abs(step)
             pv = _horner(raw, z)
-            mass = mp.mpf(0)
-            az = abs(z)
-            for k, c in enumerate(raw):
-                mass += abs(c) * az ** k
+            mass = _horner(mods, abs(z)).real
             polished.append(z)
             displacement.append(float(abs(z - mp.mpc(z0))))
             residuals.append(float(abs(pv) / mass))
@@ -291,7 +293,3 @@ def _distinct(points, min_gap: float) -> bool:
 
 def _sorted_zeros(zeros):
     return tuple(sorted(zeros, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-
-
-def zeros_to_json(zs: ZeroSet) -> str:
-    return json.dumps(zs.to_json_dict(), sort_keys=True)

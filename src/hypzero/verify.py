@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import quadrature
 from .errors import ConfigError, HypzeroError
@@ -129,17 +129,7 @@ class RootSample:
     split_cancels: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "z": [self.z.real, self.z.imag],
-            "descent_log_mod": self.descent_log_mod,
-            "endpoint_log_mod": self.endpoint_log_mod,
-            "descent_nth_root": self.descent_nth_root,
-            "endpoint_nth_root": self.endpoint_nth_root,
-            "one_minus_z_abs": self.one_minus_z_abs,
-            "asym_ratio": self.asym_ratio,
-            "k_nth_root": self.k_nth_root,
-            "split_cancels": self.split_cancels,
-        }
+        return {**asdict(self), "z": [self.z.real, self.z.imag]}
 
 
 @dataclass(frozen=True)
@@ -238,7 +228,8 @@ def _diagnose_root(n: int, alpha: Alpha, z: complex) -> RootSample:
     )
 
 
-def _run_pipeline(config: ExperimentConfig) -> VerificationReport:
+def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
+    """Full clustering experiment for a complex (or real) parameter."""
     curve = trace_level_curve(config.alpha,
                               corrector_tol=config.tolerances["corrector"],
                               boundary_tol=config.tolerances["boundary"])
@@ -308,11 +299,6 @@ def _run_pipeline(config: ExperimentConfig) -> VerificationReport:
                               records=tuple(records), passed=passed)
 
 
-def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
-    """Full clustering experiment for a complex (or real) parameter."""
-    return _run_pipeline(config)
-
-
 def run_realcase_crosscheck(k: float, l: float, n_list,
                             precision: Precision = DOUBLE,
                             tolerances: dict | None = None,
@@ -327,49 +313,105 @@ def run_realcase_crosscheck(k: float, l: float, n_list,
         alpha=Alpha(k, 0.0), n_list=tuple(n_list), precision=precision,
         tolerances=dict(tolerances or DEFAULT_TOLERANCES),
         out_dir=out_dir, formats=tuple(formats), shift=l)
-    return _run_pipeline(config)
+    return run_theorem_check(config)
 
 
 # ---------------------------------------------------------------- emission
+
+def emit(out_dir: str, formats, writers: dict) -> list[str]:
+    """The one write path of every command; returns the created paths.
+
+    ``writers`` maps each format a command can write to a function giving
+    its ``(file name, content)`` pairs: a dict for JSON (dumped with sorted
+    keys), a header row and rows of cells for CSV (strings as they are,
+    ``None`` empty, anything else as its ``repr``), text for SVG.  Any other
+    requested format is a configuration error, raised before any writing.
+    """
+    for f in formats:
+        if f not in writers:
+            raise ConfigError(f"cannot write format {f!r}; this command "
+                              f"writes {','.join(writers)}")
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for f, write in writers.items():
+        if f not in formats:
+            continue
+        for name, content in write():
+            if f == "json":
+                content = json.dumps(content, sort_keys=True)
+            elif f == "csv":
+                content = "".join(",".join(
+                    "" if v is None else v if isinstance(v, str) else repr(v)
+                    for v in row) + "\n" for row in content)
+            path = os.path.join(out_dir, name)
+            with open(path, "w") as fh:
+                fh.write(content)
+            written.append(path)
+    return written
+
+
+def document(alpha: Alpha, **payload) -> dict:
+    """JSON content of a command without a report: schema, parameter, payload."""
+    return {"schema": SCHEMA, "alpha": [alpha.eta, alpha.zeta], **payload}
+
 
 def emit_report(report: VerificationReport, out_dir: str,
                 formats=None) -> list[str]:
     """Write the report files; returns the created paths."""
     formats = tuple(formats) if formats is not None else report.config.formats
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-        written.append(path)
-    if "csv" in formats:
-        for rec in report.records:
-            if rec.zeros is None:
-                continue
-            path = os.path.join(out_dir, f"zeros_n{rec.n}.csv")
-            with open(path, "w") as fh:
-                fh.write("re,im,residual,distance,label,margin\n")
-                for i, z in enumerate(rec.zeros.zeros):
-                    fh.write(f"{z.real!r},{z.imag!r},"
-                             f"{rec.zeros.residuals[i]!r},"
-                             f"{rec.distances[i]!r},{rec.labels[i]},"
-                             f"{rec.margins[i]!r}\n")
-            written.append(path)
-    if "svg" in formats:
-        for rec in report.records:
-            path = os.path.join(out_dir, f"overlay_n{rec.n}.svg")
-            zeros = () if rec.zeros is None else rec.zeros.zeros
-            with open(path, "w") as fh:
-                fh.write(render_svg(report.curve, report.separatrix_pair,
-                                    zeros))
-            written.append(path)
-    return written
+    return emit(out_dir, formats, {
+        "json": lambda: [("report.json", report.to_json_dict())],
+        "csv": lambda: [(f"zeros_n{rec.n}.csv", [
+            ("re", "im", "residual", "distance", "label", "margin"), *(
+                (z.real, z.imag, *cells) for z, *cells in zip(
+                    rec.zeros.zeros, rec.zeros.residuals, rec.distances,
+                    rec.labels, rec.margins))])
+            for rec in report.records if rec.zeros is not None],
+        "svg": lambda: [(f"overlay_n{rec.n}.svg", render_svg(
+            report.curve, report.separatrix_pair,
+            () if rec.zeros is None else rec.zeros.zeros))
+            for rec in report.records]})
+
+
+_COLORS = {"InE": "#b03030", "NotInE": "#3050b0", "Boundary": "#808080"}
 
 
 def _svg_coords(points, scale, cx, cy):
     return " ".join(f"{(p.real - cx) * scale:.2f},{-(p.imag - cy) * scale:.2f}"
                     for p in points)
+
+
+def _svg(view, arcs, seps, dots, size: int) -> str:
+    """Arcs as paths coloured by region, ``(point, radius, fill)`` dots as
+    circles and, on top, separatrices as dashed polylines clipped to the
+    view, in a square of ``size`` around the points of ``view``."""
+    re0, re1 = min(p.real for p in view), max(p.real for p in view)
+    im0, im1 = min(p.imag for p in view), max(p.imag for p in view)
+    span = max(re1 - re0, im1 - im0, 1e-9)
+    scale = 0.9 * size / span
+    cx, cy = 0.5 * (re0 + re1), 0.5 * (im0 + im1)
+    half = size / 2
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'viewBox="{-half:.0f} {-half:.0f} {size} {size}">']
+    for arc in arcs:
+        coords = _svg_coords(arc.points, scale, cx, cy).split(" ")
+        d = "M " + " L ".join(coords)
+        color = _COLORS.get(arc.region, "#808080")
+        out.append(f'<path d="{d}" fill="none" '
+                   f'stroke="{color}" stroke-width="1.5"/>')
+    for z, r, fill in dots:
+        x = (z.real - cx) * scale
+        y = -(z.imag - cy) * scale
+        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:g}" fill="{fill}"/>')
+    for sep in seps:
+        kept = [p for p in sep.points if abs(p.real - cx) * scale <= half
+                and abs(p.imag - cy) * scale <= half]
+        if len(kept) >= 2:
+            out.append(f'<polyline points="{_svg_coords(kept, scale, cx, cy)}" '
+                       f'fill="none" stroke="#30a060" stroke-width="0.8" '
+                       f'stroke-dasharray="4 3"/>')
+    out.append("</svg>")
+    return "\n".join(out)
 
 
 def render_svg(curve: LevelCurve, seps, zeros, size: int = 640) -> str:
@@ -378,36 +420,20 @@ def render_svg(curve: LevelCurve, seps, zeros, size: int = 640) -> str:
     Exactly one ``<path>`` per curve arc and one ``<circle>`` per zero, which
     keeps the document structure checkable.
     """
-    pts = [p for arc in curve.arcs for p in arc.points]
-    pts += list(zeros) + [curve.crossing_point]
-    re0, re1 = min(p.real for p in pts), max(p.real for p in pts)
-    im0, im1 = min(p.imag for p in pts), max(p.imag for p in pts)
-    span = max(re1 - re0, im1 - im0, 1e-9)
-    scale = 0.9 * size / span
-    cx, cy = 0.5 * (re0 + re1), 0.5 * (im0 + im1)
-    half = size / 2
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-           f'viewBox="{-half:.0f} {-half:.0f} {size} {size}">']
-    colors = {"InE": "#b03030", "NotInE": "#3050b0", "Boundary": "#808080"}
-    for arc in curve.arcs:
-        coords = _svg_coords(arc.points, scale, cx, cy).split(" ")
-        d = "M " + " L ".join(coords)
-        color = colors.get(arc.region, "#808080")
-        out.append(f'<path d="{d}" fill="none" '
-                   f'stroke="{color}" stroke-width="1.5"/>')
-    for sep in seps:
-        kept = [p for p in sep.points if abs(p.real - cx) * scale <= half
-                and abs(p.imag - cy) * scale <= half]
-        if len(kept) >= 2:
-            out.append(f'<polyline points="{_svg_coords(kept, scale, cx, cy)}" '
-                       f'fill="none" stroke="#30a060" stroke-width="0.8" '
-                       f'stroke-dasharray="4 3"/>')
-    for z in zeros:
-        x = (z.real - cx) * scale
-        y = -(z.imag - cy) * scale
-        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#202020"/>')
-    out.append("</svg>")
-    return "\n".join(out)
+    view = [p for arc in curve.arcs for p in arc.points]
+    view += list(zeros) + [curve.crossing_point]
+    return _svg(view, curve.arcs, seps,
+                [(z, 2.5, "#202020") for z in zeros], size)
+
+
+def render_region_svg(rows, grid: GridSpec, seps) -> str:
+    """Basin portrait of ``region_map`` rows: one circle per grid point in
+    the colour of its label, and the separatrices between the basins."""
+    size = 640
+    view = [complex(grid.re0, grid.im0), complex(grid.re1, grid.im1)]
+    return _svg(view, (), seps, [
+        (complex(*row["z"]), 0.3 * size / grid.steps,
+         _COLORS.get(row["label"], "#202020")) for row in rows], size)
 
 
 def region_map(alpha: Alpha, grid: GridSpec,

@@ -49,6 +49,20 @@ def test_vertex_residuals_meet_corrector_tolerance():
             assert max(rel) < 2e-9, a.value
 
 
+@pytest.mark.parametrize("av", [(1.0, 0.0), (2.0, 0.0), (1.0, 1.0),
+                                (2.0, -1.0), (0.5, 1.0), (3.0, 0.5),
+                                (1.5, -2.0)])
+def test_every_vertex_on_the_principal_level_curve(av):
+    # arcs that reach the cut end there, so every vertex, crossed_cut arcs
+    # included, lies on the curve of the principal power
+    a = Alpha(*av)
+    lc = trace_level_curve(a)
+    for arc in lc.arcs:
+        rel = [abs(modulus_at(a, p) - lc.constant) / lc.constant
+               for p in arc.points if p != 0]
+        assert max(rel) < 2e-9, (av, arc.region, arc.crossed_cut)
+
+
 def test_conjugation_symmetry_real_parameter():
     lc = trace_level_curve(A1)
     for arc in lc.arcs:

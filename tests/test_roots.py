@@ -171,3 +171,17 @@ def test_distinct_matches_pairwise_loop():
         for gap in (1e-4, 1e-2, 0.3):
             assert _distinct(pts, gap) == _distinct_pairs(pts, gap)
     assert _distinct([1.0 + 1.0j], 1.0)
+
+
+def test_polish_stops_before_the_step_cap(monkeypatch):
+    # a Newton step that no longer shrinks by 2^16 sits at the rounding
+    # floor, so the polish stops there instead of running all 8 steps
+    import hypzero.roots as roots
+    horner = roots._horner
+    calls = []
+    monkeypatch.setattr(roots, "_horner",
+                        lambda c, z: calls.append(1) or horner(c, z))
+    zs = find_roots(coefficients(30, AI))
+    assert zs.iterations["escalations"] == 0
+    # the cap alone costs two evaluations per step and zero
+    assert len(calls) < 2 * 8 * 30

@@ -177,9 +177,12 @@ def test_cli_curve_and_region(tmp_path):
     d = json.loads((tmp_path / "o2" / "curve.json").read_text())
     assert d["schema"] == "hypzero/1"
     assert main(["region", "--alpha-re", "1", "--grid", "0:2:-1:1:5",
-                 "--out", out, "--format", "csv"]) == 0
+                 "--out", out, "--format", "csv,svg"]) == 0
     lines = (tmp_path / "o2" / "region.csv").read_text().strip().split("\n")
     assert len(lines) == 26
+    # the basin portrait: one circle per grid point
+    svg = (tmp_path / "o2" / "region.svg").read_text()
+    assert svg.count("<circle") == 25
 
 
 def test_cli_asym(tmp_path):
@@ -188,6 +191,31 @@ def test_cli_asym(tmp_path):
                  "--z", "1.2,0.3", "--out", out, "--format", "json,csv"]) == 0
     d = json.loads((tmp_path / "o3" / "asym.json").read_text())
     assert d["rows"][0]["ratio"] == pytest.approx(1.0, abs=0.3)
+    # the n-th root of the endpoint tail factor K, in (0, 1) below its limit 1
+    assert 0.0 < d["rows"][0]["k_nth_root"] < 1.0
+    lines = (tmp_path / "o3" / "asym.csv").read_text().splitlines()
+    assert lines[0] == "re,im,n,ratio,k_nth_root"
+    assert float(lines[1].split(",")[4]) == d["rows"][0]["k_nth_root"]
+
+
+def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
+    out = tmp_path / "o7"
+    assert main(["asym", "--alpha-re", "1", "--n", "10",
+                 "--z=-0.5,0.1;1.2,0.3", "--out", str(out),
+                 "--format", "csv"]) == 1
+    lines = (out / "asym.csv").read_text().splitlines()
+    assert lines[1] == "-0.5,0.1,10,,"
+    assert all(lines[2].split(","))
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("check", "pdf"), ("realcase", "pdf"), ("region", "pdf"),
+    ("curve", "csv"), ("curve", "pdf"), ("asym", "svg")])
+def test_cli_rejects_formats_it_cannot_write(tmp_path, command, fmt):
+    out = tmp_path / "o8"
+    assert main([command, "--n", "4", "--grid", "0.5:1.5:-0.5:0.5:2",
+                 "--out", str(out), "--format", f"json,{fmt}"]) == 2
+    assert not out.exists()
 
 
 def test_cli_config_file_precedence(tmp_path):
