@@ -16,6 +16,7 @@ ran with failures, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -78,7 +79,10 @@ def _merged(args, key: str, cast=str, default=None):
         file_vals = _read_config_file(args.config)
         if key in file_vals:
             raw = file_vals[key]
-            return cast(raw) if cast is not str else raw
+            try:
+                return cast(raw)
+            except ValueError:
+                raise ConfigError(f"{args.config}: bad {key} {raw!r}") from None
     return default
 
 
@@ -182,9 +186,12 @@ def _parse_points(text: str) -> list[complex]:
             continue
         re_s, _, im_s = chunk.partition(",")
         try:
-            pts.append(complex(float(re_s), float(im_s or 0.0)))
+            z = complex(float(re_s), float(im_s or 0.0))
         except ValueError:
             raise ConfigError(f"bad point {chunk!r}") from None
+        if not cmath.isfinite(z):
+            raise ConfigError(f"point {chunk!r} is not finite")
+        pts.append(z)
     if not pts:
         raise ConfigError("no sample points given")
     return pts

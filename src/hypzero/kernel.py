@@ -30,9 +30,9 @@ TWO_PI = 2.0 * math.pi
 class Alpha:
     """Complex family parameter ``alpha = eta + i*zeta``.
 
-    ``eta > 0`` is required throughout.  ``zeta == 0`` is the real-parameter
-    cross-check regime (``is_real_regime``); ``zeta != 0`` is the regime of
-    the main clustering experiment.
+    Finite ``eta > 0`` and ``zeta`` are required throughout.  ``zeta == 0``
+    is the real-parameter cross-check regime (``is_real_regime``);
+    ``zeta != 0`` is the regime of the main clustering experiment.
     """
 
     eta: float
@@ -41,6 +41,9 @@ class Alpha:
     def __post_init__(self):
         if not self.eta > 0:
             raise DomainError(f"alpha requires eta > 0, got eta={self.eta}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.zeta)):
+            raise DomainError(f"alpha must be finite, got eta={self.eta}, "
+                              f"zeta={self.zeta}")
 
     @property
     def is_real_regime(self) -> bool:
@@ -134,7 +137,8 @@ def phase_second_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
     """d^2/dt^2 of the phase, from the single-valued closed form."""
     a = alpha.value
     u = 1.0 - z * t
-    if t == 0 or u == 0:
+    # t or u so small that its square underflows is a pole in double too
+    if t * t == 0 or u * u == 0:
         raise SingularPointError("phase_second_derivative: pole at t in {0, 1/z}")
     return -a / (t * t) - (z * z) / (u * u)
 

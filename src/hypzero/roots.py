@@ -4,10 +4,11 @@ Near the clustering curve ``|p|`` is about ``rho^n`` while the monomial
 coefficient mass is about ``C(n, n/2)``: from n = 20 on, the zero annulus
 evaluates to rounding noise in double precision.  The zeros are therefore
 found in the Pfaff variable ``w = z/(z-1)``, whose coefficients are bounded
-(Aberth-Ehrlich in double, then in mpmath at the bits the w-basis dynamic
-range asks for), and certified in ``z`` by a Newton polish at the precision
-the monomial range ``mass / rho_min^n`` asks for: the polish displacement
-bounds the solver error in the root metric, which residuals cannot see.
+(Aberth-Ehrlich in double, then at the bits the w-basis dynamic range asks
+for), and certified in ``z`` by a Newton polish at the precision the
+monomial range ``mass / rho_min^n`` asks for: the polish displacement bounds
+the solver error in the root metric, which residuals cannot see.  Past
+double precision both evaluate through one fixed-point Horner kernel.
 """
 
 from __future__ import annotations
@@ -76,31 +77,24 @@ def _aberth_double(coeffs: np.ndarray, init: np.ndarray,
     the conditioning floor (they cannot shrink below roundoff-in-the-mass).
     """
     n = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    desc = coeffs[::-1]
-    ddesc = dcoeffs[::-1]
+    desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, n + 1))[::-1]
     z = init.copy()
-    sweeps = 0
-    best = math.inf
-    stale = 0
+    best, stale = math.inf, 0
     for sweeps in range(1, max_sweeps + 1):
         pv = np.polyval(desc, z)
         dv = np.polyval(ddesc, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
+        newton = pv / np.where(dv == 0, 1e-300, dv)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         repulse = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - newton * repulse
-        denom = np.where(denom == 0, 1e-300, denom)
-        w = newton / denom
+        w = newton / np.where(denom == 0, 1e-300, denom)
         z = z - w
         wmax = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
         if wmax < 5e-15:
             break
         if wmax < 0.7 * best:
-            best = wmax
-            stale = 0
+            best, stale = wmax, 0
         else:
             stale += 1
             if stale >= 25:
@@ -108,25 +102,42 @@ def _aberth_double(coeffs: np.ndarray, init: np.ndarray,
     return z, sweeps
 
 
-def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
-    """Aberth-Ehrlich sweeps at the ambient mpmath precision.
+def _to_fixed(c, f: int) -> tuple[int, int]:
+    """``c`` as integers ``(re, im)`` with ``f`` fractional bits, truncated."""
+    return int(mp.ldexp(c.real, f)), int(mp.ldexp(c.imag, f))
 
-    ``p`` and ``p'`` come from one Horner pass in binary fixed point with
-    that many fractional bits, several times faster than mpmath numbers and,
-    as ``|c_0| = 1``, as accurate relative to the coefficient mass.  The
-    repulsion runs in double precision: it shapes the basins, not the fixed
-    points.  A root stops once its relative update is below
-    ``2^-(margin/2)``, which puts it at the ``2^-margin`` floor.
+
+def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
+    """``p`` and ``p'`` at ``x + iy`` from one Horner pass in binary fixed
+    point: integer pairs scaled by ``2^f``, coefficients leading one first.
+
+    Each step truncates its products by less than ``2^-f`` per component, so
+    ``p`` is off by at most ``(n+1) 2^(1/2-f) max(1,|z|)^n`` (the
+    coefficients taken as exact), ``p'`` by ``n`` times that.  With
+    ``c_0 = 1`` and ``|c_n| = |b/(b+n)|`` the mass ``sum |c_k| |z|^k`` is at
+    least ``max(1, |c_n| |z|^n)``, so the error is within about ``n 2^-f`` of
+    the mass, the order of mpmath's rounding at ``f`` bits.
     """
-    n = len(coeffs_mp) - 1
-    f = mp.mp.prec   # fractional bits of the fixed-point Horner
-    fixed = [(int(mp.ldexp(c.real, f)), int(mp.ldexp(c.imag, f)))
-             for c in reversed(coeffs_mp)]
+    pr = pm = dr = dm = 0
+    for cr, cm in fixed:
+        dr, dm = ((dr * x - dm * y) >> f) + pr, ((dr * y + dm * x) >> f) + pm
+        pr, pm = ((pr * x - pm * y) >> f) + cr, ((pr * y + pm * x) >> f) + cm
+    return pr, pm, dr, dm
+
+
+def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
+    """Aberth-Ehrlich sweeps at the ambient mpmath precision, evaluating by
+    :func:`_fixed_horner` with that many fractional bits.  The repulsion
+    runs in double precision: it shapes the basins, not the fixed points.  A
+    root stops once its relative update is below ``2^-(margin/2)``, which
+    puts it at the ``2^-margin`` floor.
+    """
+    f = mp.mp.prec
+    fixed = [_to_fixed(c, f) for c in reversed(coeffs_mp)]
     z = [mp.mpc(v) for v in init]
     tol = 2.0 ** (-_SOLVE_MARGIN // 2)
-    active = range(n)
-    best = math.inf
-    stale = 0
+    active = range(len(coeffs_mp) - 1)
+    best, stale = math.inf, 0
     for sweeps in range(1, max_sweeps + 1):
         zd = np.array([complex(zi) for zi in z])
         diff = zd[active, None] - zd[None, :]
@@ -134,11 +145,7 @@ def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
         diff[np.abs(diff) < 1e-250] = 1e-250
         moved = []
         for i, rep in zip(active, np.sum(1.0 / diff, axis=1)):
-            x, y = int(mp.ldexp(z[i].real, f)), int(mp.ldexp(z[i].imag, f))
-            pr = pm = dr = dm = 0
-            for cr, cm in fixed:
-                dr, dm = ((dr * x - dm * y) >> f) + pr, ((dr * y + dm * x) >> f) + pm
-                pr, pm = ((pr * x - pm * y) >> f) + cr, ((pr * y + pm * x) >> f) + cm
+            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z[i], f), f)
             newton = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
             den = 1 - newton * mp.mpc(rep)
             w = newton / (den if den != 0 else mp.mpf(1e-300))
@@ -148,20 +155,12 @@ def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
         if not active:
             break
         if max(moved) < 0.5 * best:
-            best = max(moved)
-            stale = 0
+            best, stale = max(moved), 0
         else:
             stale += 1
             if stale >= 4 and max(moved) < 1e-8:
                 break
     return z, sweeps
-
-
-def _horner(coeffs, z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def _certify_bits(p: Polynomial) -> int:
@@ -184,36 +183,39 @@ def _certify_bits(p: Polynomial) -> int:
 
 
 def _polish_and_measure(p: Polynomial, approx, bits: int):
-    """Newton-polish each approximation at ``bits``; report displacements
-    and condition-scaled residuals measured at that precision."""
+    """Newton-polish each approximation; report displacements and residuals
+    ``|p(z)| / sum |c_k| |z|^k``, all by :func:`_fixed_horner` with ``bits``
+    fractional bits: one pass per step, one for ``p(z)``, one for the mass.
+    """
     with mp.workprec(bits):
         raw = coefficients_mp(p.degree, p.alpha.value, p.b_offset)
-        draw = [raw[k] * k for k in range(1, p.degree + 1)]
-        polished = []
-        displacement = []
-        residuals = []
-        mods = [abs(c) for c in raw]
-        for z0 in approx:
-            z = mp.mpc(z0)
-            last = mp.inf
-            for _ in range(8):
-                pv = _horner(raw, z)
-                dv = _horner(draw, z)
-                if dv == 0:
-                    break
-                step = pv / dv
-                z = z - step
-                # converged, or stalled at the rounding floor of the mass:
-                # a Newton step that has not shrunk by 2^16 is noise
-                if (abs(step) < mp.mpf(2) ** (-bits + 16) * (1 + abs(z))
-                        or abs(step) > last * 2.0 ** -16):
-                    break
-                last = abs(step)
-            pv = _horner(raw, z)
-            mass = _horner(mods, abs(z)).real
-            polished.append(z)
-            displacement.append(float(abs(z - mp.mpc(z0))))
-            residuals.append(float(abs(pv) / mass))
+        fixed = [_to_fixed(c, bits) for c in reversed(raw)]
+        mods = [(int(mp.ldexp(abs(c), bits)), 0) for c in reversed(raw)]
+        start = [_to_fixed(z0, bits) for z0 in approx]
+    one = 1 << bits
+    polished, displacement, residuals = [], [], []
+    for x0, y0 in start:
+        x, y, floor = x0, y0, math.inf
+        for _ in range(8):
+            pr, pm, dr, dm = _fixed_horner(fixed, x, y, bits)
+            den = dr * dr + dm * dm
+            if den == 0:
+                break
+            sr = ((pr * dr + pm * dm) << bits) // den
+            sm = ((pm * dr - pr * dm) << bits) // den
+            x, y = x - sr, y - sm
+            step = math.isqrt(sr * sr + sm * sm)
+            # converged, or stalled at the rounding floor of the mass:
+            # a Newton step that has not shrunk by 2^16 is noise
+            if (step < (one + math.isqrt(x * x + y * y)) >> (bits - 16)
+                    or step > floor):
+                break
+            floor = step >> 16
+        pr, pm, _, _ = _fixed_horner(fixed, x, y, bits)
+        mass = _fixed_horner(mods, math.isqrt(x * x + y * y), 0, bits)[0]
+        polished.append(complex(x / one, y / one))
+        displacement.append(math.isqrt((x - x0) ** 2 + (y - y0) ** 2) / one)
+        residuals.append(math.hypot(pr / mass, pm / mass))
     return polished, displacement, residuals
 
 
@@ -266,12 +268,10 @@ def find_roots(p: Polynomial, precision: Precision = DOUBLE,
         disp_ok = max(disp) <= 0.2 / n
         resid_ok = max(resid) <= residual_tol
         if pairwise_ok and disp_ok and resid_ok:
-            zeros = tuple(complex(z) for z in polished)
             diag["max_displacement"] = max(disp)
             diag["max_residual"] = max(resid)
-            return ZeroSet(n=n, alpha=p.alpha, zeros=_sorted_zeros(zeros),
-                           residuals=tuple(float(r) for r in resid),
-                           iterations=diag)
+            return ZeroSet(n=n, alpha=p.alpha, zeros=_sorted_zeros(polished),
+                           residuals=tuple(resid), iterations=diag)
         attempt += 1
         diag["escalations"] = attempt
         if attempt > 3:

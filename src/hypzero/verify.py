@@ -54,10 +54,13 @@ class GridSpec:
         if len(parts) != 5:
             raise ConfigError(f"grid spec needs re0:re1:im0:im1:steps, got {text!r}")
         try:
-            return GridSpec(float(parts[0]), float(parts[1]),
-                            float(parts[2]), float(parts[3]), int(parts[4]))
+            bounds = [float(v) for v in parts[:4]]
+            steps = int(parts[4])
         except ValueError as exc:
             raise ConfigError(f"bad grid spec {text!r}: {exc}") from None
+        if not all(math.isfinite(v) for v in bounds):
+            raise ConfigError(f"grid bounds must be finite, got {text!r}")
+        return GridSpec(*bounds, steps)
 
     def points(self) -> list[complex]:
         if self.steps < 1:
@@ -394,8 +397,14 @@ def _svg(view, arcs, seps, dots, size: int) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
            f'viewBox="{-half:.0f} {-half:.0f} {size} {size}">']
     for arc in arcs:
-        coords = _svg_coords(arc.points, scale, cx, cy).split(" ")
-        d = "M " + " L ".join(coords)
+        # a vertex within 1 px of the last one kept adds nothing visible;
+        # both ends of the arc stay
+        kept = list(arc.points[:1])
+        for p in arc.points[1:-1]:
+            if abs(p - kept[-1]) * scale >= 1.0:
+                kept.append(p)
+        kept += arc.points[1:][-1:]
+        d = "M " + " L ".join(_svg_coords(kept, scale, cx, cy).split(" "))
         color = _COLORS.get(arc.region, "#808080")
         out.append(f'<path d="{d}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')

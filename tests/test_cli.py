@@ -1,0 +1,59 @@
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from hypzero.cli import main
+
+# finite values near the parameters the program is meant for, and the
+# non-finite ones a user can type
+_NUMBER = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0]),
+                    st.floats(-3.0, 3.0)).map(repr)
+_DEGREES = st.lists(st.one_of(st.integers(-2, 8).map(str), st.just("")),
+                    max_size=3).map(",".join)
+_GRID = st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER,
+                  st.integers(-1, 3).map(str)).map(":".join)
+_POINTS = st.lists(st.tuples(_NUMBER, _NUMBER).map(",".join),
+                   max_size=2).map(";".join)
+_FORMATS = st.lists(st.sampled_from(["json", "csv", "svg", "pdf"]),
+                    min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["check", "realcase", "region", "curve", "asym"]))
+    argv = [command]
+    options = {"--alpha-re": _NUMBER, "--alpha-im": _NUMBER, "--n": _DEGREES,
+               "--grid": _GRID, "--format": _FORMATS}
+    if command == "realcase":
+        options.update({"--k": _NUMBER, "--l": _NUMBER})
+    if command == "asym":
+        options["--z"] = _POINTS
+    for key, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"{key}={draw(values)}")
+    return argv
+
+
+# ``key = value`` lines of a config file, values typed by hand
+_CONFIG = st.lists(st.tuples(
+    st.sampled_from(["alpha-re", "alpha-im", "n", "precision", "format",
+                     "tol-residual", "tol-boundary", "grid", "k", "l", "z"]),
+    st.text("0123456789.,:;-einfa", max_size=8)), max_size=3)
+
+
+@given(_argv(), _CONFIG)
+@example(["check", "--alpha-re=inf", "--n=5"], [])
+@example(["asym", "--z=nan,0"], [])
+@example(["check", "--alpha-re=2.2250738585072014e-308"], [])
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_ends_in_an_exit_code(tmp_path, argv, config):
+    # any argument list ends in exit code 0, 1 or 2, never in an exception
+    argv = [*argv, f"--out={tmp_path / 'out'}"]
+    if config:
+        path = tmp_path / "hypzero.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in config))
+        argv.append(f"--config={path}")
+    assert main(argv) in (0, 1, 2)

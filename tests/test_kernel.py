@@ -42,6 +42,21 @@ def test_alpha_requires_positive_eta():
     assert not Alpha(1.0, -1.0).is_real_regime
 
 
+def test_second_derivative_rejects_a_pole_its_square_underflows_at():
+    # eta = 1e-200 puts the saddle t = alpha/(alpha+1) at about 1e-200
+    alpha = Alpha(1e-200)
+    with pytest.raises(SingularPointError):
+        phase_second_derivative(alpha.saddle_base, 1.0, alpha)
+
+
+@pytest.mark.parametrize("eta,zeta", [(math.inf, 0.0), (math.nan, 1.0),
+                                      (1.0, math.inf), (1.0, -math.inf),
+                                      (1.0, math.nan)])
+def test_alpha_requires_finite_components(eta, zeta):
+    with pytest.raises(DomainError, match="eta"):
+        Alpha(eta, zeta)
+
+
 def test_phase_real_positive_arguments():
     val = phase(0.5, 1.0, Alpha(1.0)).value
     assert val == pytest.approx(-2.0 * math.log(2.0))

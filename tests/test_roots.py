@@ -8,7 +8,8 @@ from hypzero.errors import DomainError, HypzeroError
 from hypzero.hyperpoly import (coefficients, coefficients_mp,
                                real_family_coefficients)
 from hypzero.kernel import Alpha, Precision
-from hypzero.roots import _certify_bits, _distinct, find_roots
+from hypzero.roots import (_certify_bits, _distinct, _fixed_horner, _to_fixed,
+                           find_roots)
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
@@ -141,6 +142,27 @@ def test_zeros_agree_with_z_basis_newton_polish():
     assert _distinct(polished, 1e-3 / n)
 
 
+@pytest.mark.parametrize("bits", [200, 600])
+@pytest.mark.parametrize("n", [5, 30, 60])
+def test_fixed_horner_matches_polyval(n, bits):
+    # the kernel is within (n+1) 2^(2-bits) of the coefficient mass of
+    # mpmath's Horner at the same bits, for p and for p'
+    rng = np.random.default_rng(n * bits)
+    with mp.workprec(bits):
+        c = coefficients_mp(n, AI.value)
+        fixed = [_to_fixed(v, bits) for v in reversed(c)]
+        for r in (0.3, 0.8, 1.0, 1.25, 1.6):
+            z = mp.mpc(r * np.exp(1j * rng.uniform(-np.pi, np.pi)))  # exact
+            p, dp = mp.polyval(c[::-1], z, derivative=True)
+            mass = sum(abs(ck) * abs(z) ** k for k, ck in enumerate(c))
+            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z, bits), bits)
+            with mp.workprec(4 * bits):
+                unit = mp.mpf(2) ** -bits
+                bound = (n + 1) * 4 * unit * mass
+                assert abs(mp.mpc(pr, pm) * unit - p) <= bound
+                assert abs(mp.mpc(dr, dm) * unit - dp) <= bound
+
+
 def test_certify_bits_ceiling_raises():
     # degree 900 at alpha = 3 + 0.5i needs more than the 6000-bit ceiling;
     # the error names the bit count and comes before any solve
@@ -177,11 +199,13 @@ def test_polish_stops_before_the_step_cap(monkeypatch):
     # a Newton step that no longer shrinks by 2^16 sits at the rounding
     # floor, so the polish stops there instead of running all 8 steps
     import hypzero.roots as roots
-    horner = roots._horner
-    calls = []
-    monkeypatch.setattr(roots, "_horner",
-                        lambda c, z: calls.append(1) or horner(c, z))
+    kernel = roots._fixed_horner
+    bits = []
+    monkeypatch.setattr(roots, "_fixed_horner",
+                        lambda c, x, y, f: bits.append(f) or kernel(c, x, y, f))
     zs = find_roots(coefficients(30, AI))
     assert zs.iterations["escalations"] == 0
-    # the cap alone costs two evaluations per step and zero
-    assert len(calls) < 2 * 8 * 30
+    # the polish is the kernel's only caller at the certification bits;
+    # the cap alone costs one evaluation per step and zero
+    polish_calls = bits.count(zs.iterations["bits_certify"])
+    assert 30 <= polish_calls < 8 * 30

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -110,6 +111,29 @@ def test_render_svg_without_zeros():
     assert svg.count("<circle") == 0
 
 
+def test_render_svg_draws_about_one_vertex_per_pixel():
+    # a drawn vertex lies at least 1 px from the one drawn before it, so an
+    # arc L px long needs at most L + 2 vertices, both ends included
+    from hypzero.levelcurve import trace_level_curve
+    curve = trace_level_curve(AI)
+    svg = render_svg(curve, (), ())
+    paths = re.findall(r'<path d="M ([^"]*)"', svg)
+    assert len(paths) == len(curve.arcs)
+    view = [p for arc in curve.arcs for p in arc.points] + [curve.crossing_point]
+    re0, re1 = min(p.real for p in view), max(p.real for p in view)
+    im0, im1 = min(p.imag for p in view), max(p.imag for p in view)
+    scale = 0.9 * 640 / max(re1 - re0, im1 - im0)
+    centre = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+    for arc, d in zip(curve.arcs, paths):
+        drawn = d.split(" L ")
+        pts = arc.points
+        length = scale * sum(abs(b - a) for a, b in zip(pts, pts[1:]))
+        assert len(drawn) <= length + 2
+        for vertex, p in ((drawn[0], pts[0]), (drawn[-1], pts[-1])):
+            x, y = (float(v) for v in vertex.split(","))
+            assert abs(complex(x, -y) / scale + centre - p) * scale < 0.01
+
+
 def test_realcase_shift_keeps_curve():
     r0 = run_realcase_crosscheck(1.0, 0.0, (8,))
     r3 = run_realcase_crosscheck(1.0, 3.0, (8,))
@@ -154,6 +178,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["check", "--alpha-re", "-2"]) == 2
     assert main(["check", "--alpha-re", "1", "--n", "9,5"]) == 2
     assert main(["check", "--alpha-re", "1", "--precision", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--alpha-re", "inf", "--n", "5"],
+    ["check", "--alpha-im", "nan", "--n", "5"],
+    ["asym", "--z=nan,0"],
+    ["asym", "--z=1.2,0.3;1,-inf"],
+    ["region", "--grid=0:inf:-1:1:2"]])
+def test_cli_rejects_non_finite_input(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_bad_number_in_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha-re = one\n")
+    assert main(["check", "--config", str(cfg), "--n", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "alpha-re" in capsys.readouterr().err
 
 
 def test_cli_rejects_nonpositive_degrees(tmp_path):
