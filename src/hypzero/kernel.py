@@ -147,9 +147,9 @@ def phase_second_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
 class Precision:
     """Working-precision description threaded through the numeric pipeline.
 
-    ``bits`` is the mantissa width: 53 selects plain double arithmetic,
-    anything larger switches the precision-sensitive paths (coefficient
-    evaluation, root polishing) to mpmath with that many bits.
+    ``bits`` is the mantissa width.  Coefficient evaluation runs in plain
+    double at 53 and in mpmath with that many bits above it; root finding
+    takes it as a floor on the bits of its solve.
     """
 
     bits: int = 53

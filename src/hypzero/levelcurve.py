@@ -25,6 +25,8 @@ from .flows import BOUNDARY, classify_region
 from .kernel import Alpha, phase, phase_derivative, phase_second_derivative
 from .saddle import level_constant
 
+_MAX_STEPS = 400_000    # corrector steps per branch
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -109,7 +111,7 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     steps = 0
     while arclength < max_arclength:
         steps += 1
-        if steps > 400_000:
+        if steps > _MAX_STEPS:
             break
         dp = phase_derivative(w, 1.0, alpha)
         ad = abs(dp)
@@ -163,6 +165,9 @@ def trace_level_curve(alpha: Alpha, resolution: float | None = None,
         resolution = 1e-3 * abs(w0)
     if resolution <= 0:
         raise DomainError("trace_level_curve: resolution must be positive")
+    if 2.0 * abs(1.0 - w0) > _MAX_STEPS * resolution:
+        raise DomainError(f"trace_level_curve: the InE loop through {w0:.3g} "
+                          f"around 1 needs over {_MAX_STEPS} steps of {resolution:.3g}")
     constant = level_constant(alpha)
     target = math.log(constant)
     max_arclength = 40.0 * (1.0 + abs(w0))

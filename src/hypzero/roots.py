@@ -1,14 +1,12 @@
-"""Simultaneous root finding with certified displacement and residuals.
+"""Simultaneous root finding with certified inclusion disks.
 
 Near the clustering curve ``|p|`` is about ``rho^n`` while the monomial
 coefficient mass is about ``C(n, n/2)``: from n = 20 on, the zero annulus
 evaluates to rounding noise in double precision.  The zeros are therefore
-found in the Pfaff variable ``w = z/(z-1)``, whose coefficients are bounded
-(Aberth-Ehrlich in double, then at the bits the w-basis dynamic range asks
-for), and certified in ``z`` by a Newton polish at the precision the
-monomial range ``mass / rho_min^n`` asks for: the polish displacement bounds
-the solver error in the root metric, which residuals cannot see.  Past
-double precision both evaluate through one fixed-point Horner kernel.
+found and certified in the Pfaff variable ``w = z/(z-1)``, whose
+coefficients are bounded, by Aberth-Ehrlich and the Gerschgorin-form
+inclusion test of MPSolve (Carstensen 1991): with Weierstrass corrections
+``W_i``, a disk ``D(u_i, n|W_i|)`` that meets no other holds one zero.
 """
 
 from __future__ import annotations
@@ -22,14 +20,14 @@ import numpy as np
 import mpmath as mp
 
 from .errors import AccuracyError, DomainError
-from .hyperpoly import Polynomial, coefficients_mp, pfaff_coefficients_mp
+# coefficients_mp is unused here, but perfbench/tracing.py wraps it by this name
+from .hyperpoly import Polynomial, coefficients_mp, pfaff_coefficients_mp  # noqa: F401
 from .kernel import Alpha, DOUBLE, Precision
-from .saddle import level_constant
 
 _JITTER_SEED = 0x5EED
 # bits of the w-basis solve beyond its estimated conditioning loss
 _SOLVE_MARGIN = 96
-_MAX_BITS = 6000
+_SLACK = 1e-6   # relative slack on the certificate's bounds, far above their rounding
 
 
 @dataclass(frozen=True)
@@ -39,6 +37,7 @@ class ZeroSet:
     n: int
     alpha: Alpha
     zeros: tuple[complex, ...]
+    radii: tuple[float, ...]      # each disk around ``zeros[i]`` holds one zero
     residuals: tuple[float, ...]
     iterations: dict
 
@@ -47,6 +46,7 @@ class ZeroSet:
             "n": self.n,
             "alpha": [self.alpha.eta, self.alpha.zeta],
             "zeros": [[z.real, z.imag] for z in self.zeros],
+            "radii": list(self.radii),
             "residuals": list(self.residuals),
             "iterations": self.iterations,
         }
@@ -112,11 +112,8 @@ def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
     point: integer pairs scaled by ``2^f``, coefficients leading one first.
 
     Each step truncates its products by less than ``2^-f`` per component, so
-    ``p`` is off by at most ``(n+1) 2^(1/2-f) max(1,|z|)^n`` (the
-    coefficients taken as exact), ``p'`` by ``n`` times that.  With
-    ``c_0 = 1`` and ``|c_n| = |b/(b+n)|`` the mass ``sum |c_k| |z|^k`` is at
-    least ``max(1, |c_n| |z|^n)``, so the error is within about ``n 2^-f`` of
-    the mass, the order of mpmath's rounding at ``f`` bits.
+    ``p`` is off by at most ``2^(1/2-f) sum_{k<n} |z|^k`` (the coefficients
+    taken as exact), ``p'`` by ``n`` times that.
     """
     pr = pm = dr = dm = 0
     for cr, cm in fixed:
@@ -125,18 +122,17 @@ def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
     return pr, pm, dr, dm
 
 
-def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
+def _aberth_mp(fixed, init, max_sweeps: int = 120) -> tuple[list, int]:
     """Aberth-Ehrlich sweeps at the ambient mpmath precision, evaluating by
-    :func:`_fixed_horner` with that many fractional bits.  The repulsion
-    runs in double precision: it shapes the basins, not the fixed points.  A
-    root stops once its relative update is below ``2^-(margin/2)``, which
-    puts it at the ``2^-margin`` floor.
+    :func:`_fixed_horner` on ``fixed`` with that many fractional bits.  The
+    repulsion runs in double precision: it shapes the basins, not the fixed
+    points.  A root stops once its relative update is below
+    ``2^-(margin/2)``, which puts it at the ``2^-margin`` floor.
     """
     f = mp.mp.prec
-    fixed = [_to_fixed(c, f) for c in reversed(coeffs_mp)]
     z = [mp.mpc(v) for v in init]
     tol = 2.0 ** (-_SOLVE_MARGIN // 2)
-    active = range(len(coeffs_mp) - 1)
+    active = range(len(fixed) - 1)
     best, stale = math.inf, 0
     for sweeps in range(1, max_sweeps + 1):
         zd = np.array([complex(zi) for zi in z])
@@ -163,68 +159,13 @@ def _aberth_mp(coeffs_mp, init, max_sweeps: int = 120) -> tuple[list, int]:
     return z, sweeps
 
 
-def _certify_bits(p: Polynomial) -> int:
-    """Working precision that resolves the zero annulus of ``p``.
-
-    The polynomial dips to about ``rho^n`` near its zeros while the
-    coefficient mass at the root radius is exponentially larger; the bit
-    count covers that gap with margin.
-    """
-    n = p.degree
-    radius = 1.3 * (max(abs(c) for c in p.coeffs) / abs(p.coeffs[-1])) ** (1.0 / n)
-    log_mass = p.scale + max(
-        math.log(abs(c) + 1e-300) + k * math.log(radius) for k, c in enumerate(p.coeffs))
-    rho_min = 0.25 * level_constant(p.alpha)
-    bits = int((log_mass - n * math.log(rho_min)) / math.log(2.0)) + 80
-    if bits > _MAX_BITS:
-        raise DomainError(f"find_roots: certifying degree {n} needs {bits} "
-                          f"bits, above the {_MAX_BITS}-bit ceiling")
-    return max(bits, 120)
-
-
-def _polish_and_measure(p: Polynomial, approx, bits: int):
-    """Newton-polish each approximation; report displacements and residuals
-    ``|p(z)| / sum |c_k| |z|^k``, all by :func:`_fixed_horner` with ``bits``
-    fractional bits: one pass per step, one for ``p(z)``, one for the mass.
-    """
-    with mp.workprec(bits):
-        raw = coefficients_mp(p.degree, p.alpha.value, p.b_offset)
-        fixed = [_to_fixed(c, bits) for c in reversed(raw)]
-        mods = [(int(mp.ldexp(abs(c), bits)), 0) for c in reversed(raw)]
-        start = [_to_fixed(z0, bits) for z0 in approx]
-    one = 1 << bits
-    polished, displacement, residuals = [], [], []
-    for x0, y0 in start:
-        x, y, floor = x0, y0, math.inf
-        for _ in range(8):
-            pr, pm, dr, dm = _fixed_horner(fixed, x, y, bits)
-            den = dr * dr + dm * dm
-            if den == 0:
-                break
-            sr = ((pr * dr + pm * dm) << bits) // den
-            sm = ((pm * dr - pr * dm) << bits) // den
-            x, y = x - sr, y - sm
-            step = math.isqrt(sr * sr + sm * sm)
-            # converged, or stalled at the rounding floor of the mass:
-            # a Newton step that has not shrunk by 2^16 is noise
-            if (step < (one + math.isqrt(x * x + y * y)) >> (bits - 16)
-                    or step > floor):
-                break
-            floor = step >> 16
-        pr, pm, _, _ = _fixed_horner(fixed, x, y, bits)
-        mass = _fixed_horner(mods, math.isqrt(x * x + y * y), 0, bits)[0]
-        polished.append(complex(x / one, y / one))
-        displacement.append(math.isqrt((x - x0) ** 2 + (y - y0) ** 2) / one)
-        residuals.append(math.hypot(pr / mass, pm / mass))
-    return polished, displacement, residuals
-
-
-def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
+def _pfaff_basis(p: Polynomial, precision: Precision) -> tuple[float, np.ndarray, int]:
     """Radius ``r = |d_0/d_n|^(1/n)``, the coefficients of ``q(r*u)`` in
     double (``|q_0| = |q_n| = 1``: nothing under- or overflows) and the bits
-    of the w-basis solve: the largest term of ``sum_k |q_k| 1.5^k``, on a
-    circle just outside the zeros, exceeds the largest root condition number
-    by 1-7 bits at n = 15..120 (about n bits; 4n in the monomial basis).
+    of the w-basis solve, at least ``precision.bits``: the largest term of
+    ``sum_k |q_k| 1.5^k``, on a circle just outside the zeros, exceeds the
+    largest root condition number by 1-7 bits at n = 15..120 (about n bits;
+    4n in the monomial basis).
     """
     n = p.degree
     k = np.arange(n)
@@ -232,56 +173,112 @@ def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
     radius = math.exp(-float(np.mean(np.log(np.abs(ratio)))))
     q = np.cumprod(np.concatenate(([1 + 0j], radius * ratio)))
     peak = np.max(np.log2(np.abs(q)) + np.arange(n + 1) * math.log2(1.5))
-    return radius, q, int(peak) + _SOLVE_MARGIN
+    return radius, q, max(int(peak) + _SOLVE_MARGIN, precision.bits)
+
+
+def _scaled_fixed(p: Polynomial, radius: float, f: int) -> list:
+    """Coefficients of ``q(r*u)`` with ``f`` fractional bits, leading first."""
+    with mp.workprec(f):
+        r = mp.mpf(radius)
+        d = pfaff_coefficients_mp(p.degree, p.alpha.value, p.b_offset)
+        return [_to_fixed(c * r ** k, f) for k, c in reversed(list(enumerate(d)))]
+
+
+def _log2_abs(re: int, im: int) -> float:
+    return 0.5 * math.log2(re * re + im * im) if re or im else -math.inf
+
+
+def _inclusion_disks(p: Polynomial, radius: float, f: int, fixed, u):
+    """Radii in ``z`` of disks around ``z_i = w_i/(w_i-1)``, ``w_i = r u_i``
+    at ``f`` bits, that each hold a zero, and whether they are disjoint.
+
+    ``|W_i|`` is bounded by the :func:`_fixed_horner` value, its error and
+    the coefficient truncation (``2^(1/2-f)`` per term each), the rounding
+    of :func:`pfaff_coefficients_mp` (``b``, ``b+1+k`` relative to its size,
+    a product and a quotient per step, ``r^k`` and the product by it, each
+    ``2^(1-f)`` relative) and below by ``prod |u_i - u_j|``.  ``D(w_i, R)``
+    maps into ``D(z_i, R / (|w_i-1| (|w_i-1| - R)))`` if ``|w_i-1| > R``.
+    """
+    n, a = p.degree, p.alpha.value
+    k = np.arange(n + 1)
+    kappa = ((4 * abs(a) * n + 3 * abs(p.b_offset) + 3 * n + 3)
+             / np.min(np.abs(a * n + p.b_offset + 1 + k)) / (1 - _SLACK))
+    leta = np.log2(2 * (k * (2.02 + 1.01 * kappa) + 3) * (1 + _SLACK)) - f
+    lq = np.logaddexp2([_log2_abs(*c) for c in reversed(fixed)], 0.5) - f
+    lerr = np.logaddexp2(leta + lq, 1.5 - f)
+    lval = np.array([_log2_abs(*_fixed_horner(fixed, *_to_fixed(v, f), f)[:2])
+                     for v in u]) - f
+    ud = np.array([complex(v) for v in u])
+    lu = np.log2(np.abs(ud) * (1 + _SLACK))
+    lnum = np.logaddexp2(lval, np.logaddexp2.reduce(lerr + k * lu[:, None], axis=1))
+    llead = _log2_abs(*fixed[0]) - f     # |Q_n| = 1 to 2^-90: in the slack
+    off = ~np.eye(n, dtype=bool)
+    gap = np.abs(ud[:, None] - ud) - 2.0 ** -49 * (np.abs(ud[:, None]) + np.abs(ud))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lprod = np.sum(np.log2(np.where(off, np.maximum(gap, 0.0), 1.0)), axis=1)
+        rho = np.exp2(math.log2(n * (1 + _SLACK)) + lnum - llead - lprod)
+        w = radius * ud
+        c = np.abs(w - 1) - 2.0 ** -49 * (np.abs(w) + 1)
+        big = radius * rho
+        disk = np.where(c > big, big / (c * (c - big)) * (1 + _SLACK), np.inf)
+        rounding = np.ldexp((np.abs(w) + radius) / c ** 2 + 3 * np.abs(w) / c, 1 - f)
+    disjoint = bool(np.all((gap > rho[:, None] + rho) | ~off))
+    return np.maximum(disk + rounding, 5e-324), disjoint    # never rounds to 0
+
+
+def _residual_bounds(p: Polynomial, zeros, radii) -> np.ndarray:
+    """``|p(z)| / sum |c_k| |z|^k`` bounded through the zero within ``rho``
+    of ``z`` by ``rho sum k |c_k| (|z| + rho)^(k-1)``: positive terms, so
+    summed in log scale on the double coefficients."""
+    k = np.arange(p.degree + 1)
+    az, rho = np.abs(np.asarray(zeros))[:, None], radii[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lc = np.log(np.abs(np.asarray(p.coeffs)))
+        num = np.log(k[1:]) + lc[1:] + (k[1:] - 1) * np.log(az + rho)
+        den = lc + k * np.log(az)
+        top = den.max(axis=1, keepdims=True)
+        return radii * np.exp(num - top).sum(axis=1) / np.exp(den - top).sum(axis=1)
 
 
 def find_roots(p: Polynomial, precision: Precision = DOUBLE,
                residual_tol: float = 1e-10, seed: int = _JITTER_SEED) -> ZeroSet:
-    """All ``n`` zeros of ``p`` with certified residuals.
-
-    Solved in ``w = z/(z-1)`` and certified in ``z`` at no less than
-    ``precision`` plus 64 bits.  The solve escalates to doubled bits when the
-    certification shows misplaced roots (large polish displacement, merged
-    roots) or residuals above ``residual_tol``.  Fixed seed and sweep order
-    make the result deterministic for a given input.
+    """All ``n`` zeros of ``p``, each certified in a disk of radius
+    ``radii[i]`` at no less than ``precision.bits``.  The disks must be
+    disjoint with radii of at most ``0.2/n``, the zeros ``1e-3/n`` apart and
+    the residual bounds at most ``residual_tol``; else the solve goes on at
+    doubled bits, up to three times.  Deterministic for a given input.
     """
     n = p.degree
     if n == 0:
         raise DomainError("find_roots: degree-0 polynomial has no roots")
-    bits_cert = max(_certify_bits(p), precision.bits) + 64
-    radius, q, solve_bits = _pfaff_basis(p)
+    radius, q, bits = _pfaff_basis(p, precision)
     current, sweeps_double = _aberth_double(q, _initial_circle(q, seed))
     diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
-    attempt = 0
-    while True:
-        with mp.workprec(solve_bits):
-            r = mp.mpf(radius)
-            d = pfaff_coefficients_mp(n, p.alpha.value, p.b_offset)
-            current, sweeps_mp = _aberth_mp([c * r ** k for k, c in enumerate(d)],
-                                            current)
-            approx = [r * u / (r * u - 1) for u in current]
+    for attempt in range(4):
+        fixed = _scaled_fixed(p, radius, bits)
+        with mp.workprec(bits):
+            current, sweeps_mp = _aberth_mp(fixed, current)
+            zeros = [complex(radius * u / (radius * u - 1)) for u in current]
         diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
-        diag["bits_solve"] = solve_bits
-        diag["bits_certify"] = bits_cert
-        polished, disp, resid = _polish_and_measure(p, approx, bits_cert)
-        pairwise_ok = _distinct(polished, 1e-3 / n)
-        disp_ok = max(disp) <= 0.2 / n
-        resid_ok = max(resid) <= residual_tol
-        if pairwise_ok and disp_ok and resid_ok:
-            diag["max_displacement"] = max(disp)
-            diag["max_residual"] = max(resid)
-            return ZeroSet(n=n, alpha=p.alpha, zeros=_sorted_zeros(polished),
-                           residuals=tuple(resid), iterations=diag)
-        attempt += 1
-        diag["escalations"] = attempt
-        if attempt > 3:
-            raise AccuracyError(
-                "find_roots: certification failed after escalation",
-                achieved={"max_residual": max(resid),
-                          "max_displacement": max(disp),
-                          "distinct": pairwise_ok})
-        solve_bits *= 2
-        bits_cert = 2 * bits_cert - 64   # twice the need, same 64-bit headroom
+        diag["bits_solve"] = bits
+        radii, disjoint = _inclusion_disks(p, radius, bits, fixed, current)
+        resid = _residual_bounds(p, zeros, radii)
+        distinct = _distinct(zeros, 1e-3 / n)
+        diag["max_displacement"] = float(np.max(radii))
+        diag["max_residual"] = float(np.max(resid))
+        if (disjoint and distinct and diag["max_displacement"] <= 0.2 / n
+                and diag["max_residual"] <= residual_tol):
+            rows = sorted(zip(zeros, radii.tolist(), resid.tolist()), key=lambda
+                          t: (round(t[0].real, 12), round(t[0].imag, 12)))
+            zeros, radii, resid = map(tuple, zip(*rows))
+            return ZeroSet(n=n, alpha=p.alpha, zeros=zeros, radii=radii,
+                           residuals=resid, iterations=diag)
+        diag["escalations"] = attempt + 1
+        bits *= 2
+    raise AccuracyError("find_roots: certification failed after escalation",
+                        achieved={"max_residual": diag["max_residual"],
+                                  "max_displacement": diag["max_displacement"],
+                                  "disjoint": disjoint, "distinct": distinct})
 
 
 def _distinct(points, min_gap: float) -> bool:
@@ -290,6 +287,3 @@ def _distinct(points, min_gap: float) -> bool:
     np.fill_diagonal(gap, np.inf)
     return not np.any(gap < min_gap)
 
-
-def _sorted_zeros(zeros):
-    return tuple(sorted(zeros, key=lambda z: (round(z.real, 12), round(z.imag, 12))))

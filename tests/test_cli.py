@@ -1,5 +1,7 @@
 import math
+import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +49,8 @@ _CONFIG = st.lists(st.tuples(
 @example(["check", "--alpha-re=inf", "--n=5"], [])
 @example(["asym", "--z=nan,0"], [])
 @example(["check", "--alpha-re=2.2250738585072014e-308"], [])
+@example(["check", "--alpha-re=1e-12", "--n=3"], [])
+@example(["check", "--alpha-re=1e-30", "--n=3"], [])
 @settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_ends_in_an_exit_code(tmp_path, argv, config):
@@ -57,3 +61,14 @@ def test_cli_ends_in_an_exit_code(tmp_path, argv, config):
         path.write_text("".join(f"{k} = {v}\n" for k, v in config))
         argv.append(f"--config={path}")
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("eta", ["1e-12", "1e-30"])
+def test_tiny_parameter_is_refused_before_tracing(tmp_path, capsys, eta):
+    # the InE loop passes through w0 ~ eta and goes around w = 1, so it is
+    # at least 2|1 - w0| long: more steps of 1e-3 |w0| than a branch may take
+    start = time.perf_counter()
+    assert main(["check", f"--alpha-re={eta}", "--n=3",
+                 f"--out={tmp_path / 'out'}"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "needs over 400000 steps" in capsys.readouterr().err

@@ -1,15 +1,17 @@
+import csv
+import io
 import json
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hypzero.errors import DomainError, HypzeroError
+from hypzero.errors import DomainError
 from hypzero.hyperpoly import (coefficients, coefficients_mp,
-                               real_family_coefficients)
-from hypzero.kernel import Alpha, Precision
-from hypzero.roots import (_certify_bits, _distinct, _fixed_horner, _to_fixed,
-                           find_roots)
+                               pfaff_coefficients_mp, real_family_coefficients)
+from hypzero.kernel import DOUBLE, Alpha, Precision
+from hypzero.roots import (_distinct, _fixed_horner, _inclusion_disks,
+                           _pfaff_basis, _scaled_fixed, _to_fixed, find_roots)
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
@@ -88,6 +90,7 @@ def test_determinism():
     a = find_roots(coefficients(24, AI))
     b = find_roots(coefficients(24, AI))
     assert a.zeros == b.zeros
+    assert a.radii == b.radii
     assert a.residuals == b.residuals
 
 
@@ -118,17 +121,81 @@ def test_escalation_recorded_for_large_degree():
     assert zs.iterations["max_displacement"] < 0.2 / 50
 
 
-def test_solve_precision_below_certification_precision():
-    # the w-basis solve runs well below the z-basis certification width
-    zs = find_roots(coefficients(60, AI))
-    assert zs.iterations["bits_solve"] < zs.iterations["bits_certify"]
-    assert zs.iterations["escalations"] == 0
+@pytest.mark.parametrize("n,alpha", [(15, AI), (24, A1)])
+def test_residuals_are_the_radius_bound_of_their_own_zero(n, alpha):
+    # residuals[i] is rho sum k|c_k|(|z|+rho)^(k-1) / sum |c_k||z|^k at
+    # (zeros[i], radii[i]), recomputed here from the exact coefficients,
+    # and row i of the CSV table carries it
+    zs = find_roots(coefficients(n, alpha))
+    rows = list(csv.reader(io.StringIO(zs.to_csv())))[1:]
+    with mp.workprec(200):
+        c = [abs(ck) for ck in coefficients_mp(n, alpha.value)]
+        for i, (z, rho) in enumerate(zip(zs.zeros, zs.radii)):
+            az, rho = abs(mp.mpc(z)), mp.mpf(rho)
+            num = rho * sum(k * c[k] * (az + rho) ** (k - 1) for k in range(1, n + 1))
+            want = num / sum(ck * az ** k for k, ck in enumerate(c))
+            assert zs.residuals[i] == pytest.approx(float(want), rel=1e-9)
+            assert complex(float(rows[i][0]), float(rows[i][1])) == z
+            assert float(rows[i][2]) == zs.residuals[i]
+
+
+def _exact_u(p, radius, u0, bits=400):
+    # zeros of q(r*u), polished by Newton from u0 far below the solve floor
+    with mp.workprec(bits):
+        r = mp.mpf(radius)
+        d = pfaff_coefficients_mp(p.degree, p.alpha.value, p.b_offset)
+        qs = [c * r ** k for k, c in enumerate(d)][::-1]
+        out = []
+        for u in u0:
+            u = mp.mpc(u)
+            for _ in range(8):
+                v, dv = mp.polyval(qs, u, derivative=True)
+                u -= v / dv
+            out.append(u)
+    return out
+
+
+def test_inclusion_disks_hold_their_zero_and_refuse_bad_approximations():
+    n = 30
+    p = coefficients(n, AI)
+    radius, _, bits = _pfaff_basis(p, DOUBLE)
+    fixed = _scaled_fixed(p, radius, bits)
+    zs = find_roots(p)
+    exact = _exact_u(p, radius, [z / (z - 1) / radius for z in zs.zeros])
+    rng = np.random.default_rng(30)
+
+    def z_of(u):
+        with mp.workprec(400):
+            return [radius * v / (radius * v - 1) for v in u]
+
+    for shift in (1e-20, 1e-8, 1e-3 / n):
+        with mp.workprec(400):
+            moved = [v + shift * mp.expjpi(2 * rng.random()) for v in exact]
+        radii, disjoint = _inclusion_disks(p, radius, bits, fixed, moved)
+        assert disjoint
+        with mp.workprec(bits):
+            centres = [radius * v / (radius * v - 1) for v in moved]
+        for zc, zt, rho in zip(centres, z_of(exact), radii):
+            assert abs(zc - zt) <= rho
+    # two approximations merged: their disks meet
+    merged = list(exact)
+    merged[1] = merged[0]
+    assert not _inclusion_disks(p, radius, bits, fixed, merged)[1]
+    # one approximation moved by 0.5/n: refused by the gates
+    far = list(exact)
+    far[3] = far[3] + 0.5 / n
+    radii, disjoint = _inclusion_disks(p, radius, bits, fixed, far)
+    assert not disjoint and radii[3] > 0.2 / n
+    # the solve reaches these disks without escalating
+    assert find_roots(coefficients(60, AI)).iterations["escalations"] == 0
 
 
 def test_zeros_agree_with_z_basis_newton_polish():
     n = 40
     zs = find_roots(coefficients(n, AI))
-    with mp.workprec(zs.iterations["bits_certify"]):
+    # an oracle independent of the solver: Newton on the monomial basis, at
+    # bits well above what that basis needs at this degree
+    with mp.workprec(600):
         raw = coefficients_mp(n, AI.value)
         draw = [raw[k] * k for k in range(1, n + 1)]
         polished = []
@@ -137,8 +204,9 @@ def test_zeros_agree_with_z_basis_newton_polish():
             for _ in range(12):
                 z -= mp.polyval(raw[::-1], z) / mp.polyval(draw[::-1], z)
             polished.append(complex(z))
-    for z0, z in zip(zs.zeros, polished):
+    for z0, z, rho in zip(zs.zeros, polished, zs.radii):
         assert abs(z0 - z) <= 1e-12 * abs(z)
+        assert abs(z0 - z) <= rho + 2.0 ** -52 * abs(z0)
     assert _distinct(polished, 1e-3 / n)
 
 
@@ -163,17 +231,6 @@ def test_fixed_horner_matches_polyval(n, bits):
                 assert abs(mp.mpc(dr, dm) * unit - dp) <= bound
 
 
-def test_certify_bits_ceiling_raises():
-    # degree 900 at alpha = 3 + 0.5i needs more than the 6000-bit ceiling;
-    # the error names the bit count and comes before any solve
-    p = coefficients(900, Alpha(3.0, 0.5))
-    with pytest.raises(HypzeroError, match=r"needs \d+ bits"):
-        _certify_bits(p)
-    with pytest.raises(HypzeroError, match=r"needs \d+ bits"):
-        find_roots(p)
-    assert _certify_bits(coefficients(60, A1)) < 6000
-
-
 def _distinct_pairs(points, min_gap):
     # reference: the plain O(n^2) pair loop
     pts = [complex(z) for z in points]
@@ -194,18 +251,3 @@ def test_distinct_matches_pairwise_loop():
             assert _distinct(pts, gap) == _distinct_pairs(pts, gap)
     assert _distinct([1.0 + 1.0j], 1.0)
 
-
-def test_polish_stops_before_the_step_cap(monkeypatch):
-    # a Newton step that no longer shrinks by 2^16 sits at the rounding
-    # floor, so the polish stops there instead of running all 8 steps
-    import hypzero.roots as roots
-    kernel = roots._fixed_horner
-    bits = []
-    monkeypatch.setattr(roots, "_fixed_horner",
-                        lambda c, x, y, f: bits.append(f) or kernel(c, x, y, f))
-    zs = find_roots(coefficients(30, AI))
-    assert zs.iterations["escalations"] == 0
-    # the polish is the kernel's only caller at the certification bits;
-    # the cap alone costs one evaluation per step and zero
-    polish_calls = bits.count(zs.iterations["bits_certify"])
-    assert 30 <= polish_calls < 8 * 30
