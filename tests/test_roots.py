@@ -162,12 +162,9 @@ def test_inclusion_disks_hold_their_zero_and_refuse_bad_approximations():
     fixed = _scaled_fixed(p, radius, bits)
     zs = find_roots(p)
     exact = _exact_u(p, radius, [z / (z - 1) / radius for z in zs.zeros])
+    with mp.workprec(400):
+        true_z = [radius * v / (radius * v - 1) for v in exact]
     rng = np.random.default_rng(30)
-
-    def z_of(u):
-        with mp.workprec(400):
-            return [radius * v / (radius * v - 1) for v in u]
-
     for shift in (1e-20, 1e-8, 1e-3 / n):
         with mp.workprec(400):
             moved = [v + shift * mp.expjpi(2 * rng.random()) for v in exact]
@@ -175,7 +172,7 @@ def test_inclusion_disks_hold_their_zero_and_refuse_bad_approximations():
         assert disjoint
         with mp.workprec(bits):
             centres = [radius * v / (radius * v - 1) for v in moved]
-        for zc, zt, rho in zip(centres, z_of(exact), radii):
+        for zc, zt, rho in zip(centres, true_z, radii):
             assert abs(zc - zt) <= rho
     # two approximations merged: their disks meet
     merged = list(exact)
