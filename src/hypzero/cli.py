@@ -23,15 +23,15 @@ import sys
 from . import quadrature
 from .errors import ConfigError, HypzeroError
 from .flows import separatrices
-from .kernel import Alpha, parse_precision
+from .kernel import Alpha
 from .levelcurve import trace_level_curve
 from .saddle import descent_integral_estimate
 from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
                      emit, emit_report, region_map, render_region_svg,
                      render_svg, run_realcase_crosscheck, run_theorem_check)
 
-_OPTION_KEYS = ("alpha-re", "alpha-im", "n", "precision", "out", "format",
-                "tol-residual", "tol-boundary", "grid", "k", "l", "z")
+_OPTION_KEYS = ("alpha-re", "alpha-im", "n", "out", "format", "tol-residual",
+                "tol-boundary", "grid", "k", "l", "z")
 
 
 def _add_common(sub):
@@ -39,8 +39,6 @@ def _add_common(sub):
     sub.add_argument("--alpha-re", type=float, default=None)
     sub.add_argument("--alpha-im", type=float, default=None)
     sub.add_argument("--n", default=None, help="comma-separated degree list")
-    sub.add_argument("--precision", default=None,
-                     help="double or extended:<bits>")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--format", default=None,
                      help="comma list from json,csv,svg")
@@ -103,11 +101,6 @@ def _common_settings(args):
         alpha = Alpha(float(alpha_re), float(alpha_im))
     except HypzeroError as exc:
         raise ConfigError(str(exc)) from None
-    prec_text = _merged(args, "precision", str, "double")
-    try:
-        precision = parse_precision(prec_text)
-    except HypzeroError as exc:
-        raise ConfigError(str(exc)) from None
     out_dir = _merged(args, "out", str, "out")
     formats = tuple((_merged(args, "format", str, "json")).split(","))
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -119,15 +112,15 @@ def _common_settings(args):
         tolerances["boundary"] = float(tb)
     grid_text = _merged(args, "grid", str, None)
     grid = GridSpec.parse(grid_text) if grid_text else None
-    return alpha, precision, out_dir, formats, tolerances, grid
+    return alpha, out_dir, formats, tolerances, grid
 
 
 def _cmd_check(args) -> int:
-    alpha, precision, out_dir, formats, tolerances, grid = _common_settings(args)
+    alpha, out_dir, formats, tolerances, grid = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     config = ExperimentConfig(alpha=alpha, n_list=_parse_n_list(n_text),
-                              precision=precision, tolerances=tolerances,
-                              out_dir=out_dir, formats=formats, grid=grid)
+                              tolerances=tolerances, out_dir=out_dir,
+                              formats=formats, grid=grid)
     report = run_theorem_check(config)
     emit_report(report, out_dir, formats)
     print(f"check: wrote {out_dir}; passed={report.passed}")
@@ -135,13 +128,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_realcase(args) -> int:
-    alpha, precision, out_dir, formats, tolerances, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
     k = float(_merged(args, "k", float, alpha.eta))
     l = float(_merged(args, "l", float, 0.0))
     n_text = _merged(args, "n", str, "10,20,50")
-    report = run_realcase_crosscheck(k, l, _parse_n_list(n_text),
-                                     precision=precision,
-                                     tolerances=tolerances,
+    report = run_realcase_crosscheck(k, l, _parse_n_list(n_text), tolerances=tolerances,
                                      out_dir=out_dir, formats=formats)
     emit_report(report, out_dir, formats)
     print(f"realcase: wrote {out_dir}; passed={report.passed}")
@@ -149,7 +140,7 @@ def _cmd_realcase(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    alpha, _, out_dir, formats, tolerances, grid = _common_settings(args)
+    alpha, out_dir, formats, tolerances, grid = _common_settings(args)
     if grid is None:
         grid = GridSpec(-1.0, 2.0, -1.5, 1.5, 20)
     rows = region_map(alpha, grid, boundary_tol=tolerances["boundary"])
@@ -167,7 +158,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    alpha, _, out_dir, formats, tolerances, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
     curve = trace_level_curve(alpha, boundary_tol=tolerances["boundary"])
     emit(out_dir, formats, {
         "json": lambda: [("curve.json", document(
@@ -198,7 +189,7 @@ def _parse_points(text: str) -> list[complex]:
 
 
 def _cmd_asym(args) -> int:
-    alpha, _, out_dir, formats, _, _ = _common_settings(args)
+    alpha, out_dir, formats, _, _ = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     z_text = _merged(args, "z", str, "1.2,0.3")
     points = _parse_points(z_text)

@@ -145,11 +145,10 @@ def phase_second_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
 
 @dataclass(frozen=True)
 class Precision:
-    """Working-precision description threaded through the numeric pipeline.
+    """Working precision of :func:`hyperpoly.evaluate`.
 
     ``bits`` is the mantissa width.  Coefficient evaluation runs in plain
-    double at 53 and in mpmath with that many bits above it; root finding
-    takes it as a floor on the bits of its solve.
+    double at 53 and in mpmath with that many bits above it.
     """
 
     bits: int = 53
@@ -162,24 +161,5 @@ class Precision:
     def is_double(self) -> bool:
         return self.bits <= 53
 
-    @property
-    def decimal_digits(self) -> int:
-        return max(15, int(self.bits * 0.30103) + 2)
-
 
 DOUBLE = Precision()
-
-
-def parse_precision(text: str) -> Precision:
-    """Parse ``"double"`` or ``"extended:<bits>"``."""
-    if text == "double":
-        return DOUBLE
-    if text.startswith("extended:"):
-        try:
-            bits = int(text.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad precision spec: {text!r}") from None
-        return Precision(bits=bits)
-    if text == "extended":
-        return Precision(bits=160)
-    raise DomainError(f"bad precision spec: {text!r}")

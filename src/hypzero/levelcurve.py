@@ -74,7 +74,8 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     beyond it the continued line spirals off the principal sheet.  A real
     parameter's modulus is single-valued, so its loop around 0 crosses the
     axis on the same sheet and closes.  A radius window ends branches that
-    run into 0 or 1 or out to infinity with ``closed=False``.
+    run into 0 or 1 or out to infinity with ``closed=False``.  A branch
+    still open after ``_MAX_STEPS`` steps raises :class:`TracingError`.
     """
     w0 = alpha.saddle_base
     blowup = 4.0 * (1.0 + abs(w0))
@@ -112,7 +113,8 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     while arclength < max_arclength:
         steps += 1
         if steps > _MAX_STEPS:
-            break
+            raise TracingError(f"level-curve branch still open after {_MAX_STEPS} "
+                               "steps", {"w": w, "arclength": arclength})
         dp = phase_derivative(w, 1.0, alpha)
         ad = abs(dp)
         if ad == 0:

@@ -22,7 +22,7 @@ import mpmath as mp
 from .errors import AccuracyError, DomainError
 # coefficients_mp is unused here, but perfbench/tracing.py wraps it by this name
 from .hyperpoly import Polynomial, coefficients_mp, pfaff_coefficients_mp  # noqa: F401
-from .kernel import Alpha, DOUBLE, Precision
+from .kernel import Alpha
 
 _JITTER_SEED = 0x5EED
 # bits of the w-basis solve beyond its estimated conditioning loss
@@ -69,39 +69,6 @@ def _initial_circle(coeffs: np.ndarray, seed: int) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def _aberth_double(coeffs: np.ndarray, init: np.ndarray,
-                   max_sweeps: int = 400) -> tuple[np.ndarray, int]:
-    """Jacobi-style Aberth-Ehrlich sweeps in double precision.
-
-    Stops on the relative-update tolerance or when the updates stagnate at
-    the conditioning floor (they cannot shrink below roundoff-in-the-mass).
-    """
-    n = len(coeffs) - 1
-    desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, n + 1))[::-1]
-    z = init.copy()
-    best, stale = math.inf, 0
-    for sweeps in range(1, max_sweeps + 1):
-        pv = np.polyval(desc, z)
-        dv = np.polyval(ddesc, z)
-        newton = pv / np.where(dv == 0, 1e-300, dv)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulse
-        w = newton / np.where(denom == 0, 1e-300, denom)
-        z = z - w
-        wmax = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
-        if wmax < 5e-15:
-            break
-        if wmax < 0.7 * best:
-            best, stale = wmax, 0
-        else:
-            stale += 1
-            if stale >= 25:
-                break
-    return z, sweeps
-
-
 def _to_fixed(c, f: int) -> tuple[int, int]:
     """``c`` as integers ``(re, im)`` with ``f`` fractional bits, truncated."""
     return int(mp.ldexp(c.real, f)), int(mp.ldexp(c.imag, f))
@@ -122,50 +89,69 @@ def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
     return pr, pm, dr, dm
 
 
-def _aberth_mp(fixed, init, max_sweeps: int = 120) -> tuple[list, int]:
-    """Aberth-Ehrlich sweeps at the ambient mpmath precision, evaluating by
-    :func:`_fixed_horner` on ``fixed`` with that many fractional bits.  The
-    repulsion runs in double precision: it shapes the basins, not the fixed
-    points.  A root stops once its relative update is below
-    ``2^-(margin/2)``, which puts it at the ``2^-margin`` floor.
+def _aberth(newton, z: np.ndarray, tol: float,
+            max_sweeps: int = 120) -> tuple[np.ndarray, int]:
+    """Jacobi Aberth-Ehrlich sweeps on ``z``, complex or an object array of
+    ``mpc``, where ``newton(z, idx)`` gives ``p/p'`` at ``z[idx]``.  The
+    repulsion runs in double: it shapes the basins, not the fixed points.
+    A root leaves the sweep once its relative update is below ``tol``; the
+    pass ends when none is left, after 25 sweeps in a row in which none
+    left and the largest update did not halve, or after ``max_sweeps``.
     """
-    f = mp.mp.prec
-    z = [mp.mpc(v) for v in init]
-    tol = 2.0 ** (-_SOLVE_MARGIN // 2)
-    active = range(len(fixed) - 1)
+    z = z.copy()
+    active = np.arange(len(z))
     best, stale = math.inf, 0
     for sweeps in range(1, max_sweeps + 1):
-        zd = np.array([complex(zi) for zi in z])
-        diff = zd[active, None] - zd[None, :]
+        zd = z.astype(complex)
+        diff = zd[active, None] - zd
         diff[np.arange(len(active)), active] = np.inf
         diff[np.abs(diff) < 1e-250] = 1e-250
-        moved = []
-        for i, rep in zip(active, np.sum(1.0 / diff, axis=1)):
-            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z[i], f), f)
-            newton = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
-            den = 1 - newton * mp.mpc(rep)
-            w = newton / (den if den != 0 else mp.mpf(1e-300))
-            moved.append(float(abs(w) / (1 + abs(z[i]))))
-            z[i] -= w
-        active = [i for i, m in zip(active, moved) if m >= tol]
-        if not active:
+        ratio = newton(z, active)
+        den = 1 - ratio * np.sum(1.0 / diff, axis=1)
+        w = ratio / np.where(den == 0, 1e-300, den)
+        moved = (np.abs(w) / (1 + np.abs(z[active]))).astype(float)
+        z[active] -= w
+        keep = moved >= tol
+        if not keep.any():
             break
-        if max(moved) < 0.5 * best:
-            best, stale = max(moved), 0
-        else:
-            stale += 1
-            if stale >= 4 and max(moved) < 1e-8:
-                break
+        halved = moved.max() < 0.5 * best
+        if halved:
+            best = moved.max()
+        stale = 0 if halved or not keep.all() else stale + 1
+        if stale >= 25:
+            break
+        active = active[keep]
     return z, sweeps
 
 
-def _pfaff_basis(p: Polynomial, precision: Precision) -> tuple[float, np.ndarray, int]:
+def _double_newton(q: np.ndarray):
+    """``p/p'`` for ``p = sum q_k u^k`` by :func:`numpy.polyval`."""
+    desc, ddesc = q[::-1], (q[1:] * np.arange(1, len(q)))[::-1]
+
+    def newton(z, idx):
+        dv = np.polyval(ddesc, z[idx])
+        return np.polyval(desc, z[idx]) / np.where(dv == 0, 1e-300, dv)
+    return newton
+
+
+def _fixed_newton(fixed, f: int):
+    """``p/p'`` by :func:`_fixed_horner` on ``fixed`` with ``f`` fractional
+    bits, as ``mpc`` at the ambient precision."""
+    def newton(z, idx):
+        out = np.empty(len(idx), dtype=object)
+        for j, i in enumerate(idx):
+            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z[i], f), f)
+            out[j] = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
+        return out
+    return newton
+
+
+def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
     """Radius ``r = |d_0/d_n|^(1/n)``, the coefficients of ``q(r*u)`` in
     double (``|q_0| = |q_n| = 1``: nothing under- or overflows) and the bits
-    of the w-basis solve, at least ``precision.bits``: the largest term of
-    ``sum_k |q_k| 1.5^k``, on a circle just outside the zeros, exceeds the
-    largest root condition number by 1-7 bits at n = 15..120 (about n bits;
-    4n in the monomial basis).
+    of the w-basis solve: the largest term of ``sum_k |q_k| 1.5^k``, on a
+    circle just outside the zeros, exceeds the largest root condition number
+    by 1-7 bits at n = 15..120 (about n bits; 4n in the monomial basis).
     """
     n = p.degree
     k = np.arange(n)
@@ -173,7 +159,7 @@ def _pfaff_basis(p: Polynomial, precision: Precision) -> tuple[float, np.ndarray
     radius = math.exp(-float(np.mean(np.log(np.abs(ratio)))))
     q = np.cumprod(np.concatenate(([1 + 0j], radius * ratio)))
     peak = np.max(np.log2(np.abs(q)) + np.arange(n + 1) * math.log2(1.5))
-    return radius, q, max(int(peak) + _SOLVE_MARGIN, precision.bits)
+    return radius, q, int(peak) + _SOLVE_MARGIN
 
 
 def _scaled_fixed(p: Polynomial, radius: float, f: int) -> list:
@@ -240,25 +226,30 @@ def _residual_bounds(p: Polynomial, zeros, radii) -> np.ndarray:
         return radii * np.exp(num - top).sum(axis=1) / np.exp(den - top).sum(axis=1)
 
 
-def find_roots(p: Polynomial, precision: Precision = DOUBLE,
-               residual_tol: float = 1e-10, seed: int = _JITTER_SEED) -> ZeroSet:
+def find_roots(p: Polynomial, residual_tol: float = 1e-10,
+               seed: int = _JITTER_SEED) -> ZeroSet:
     """All ``n`` zeros of ``p``, each certified in a disk of radius
-    ``radii[i]`` at no less than ``precision.bits``.  The disks must be
-    disjoint with radii of at most ``0.2/n``, the zeros ``1e-3/n`` apart and
-    the residual bounds at most ``residual_tol``; else the solve goes on at
+    ``radii[i]``: one Aberth pass in double to ``2^-26``, then one in fixed
+    point at the bits of :func:`_pfaff_basis` to ``2^-(margin/2)``, which
+    puts a root at the ``2^-margin`` floor.  The disks must be disjoint
+    with radii of at most ``0.2/n``, the zeros ``1e-3/n`` apart and the
+    residual bounds at most ``residual_tol``; else the solve goes on at
     doubled bits, up to three times.  Deterministic for a given input.
     """
     n = p.degree
     if n == 0:
         raise DomainError("find_roots: degree-0 polynomial has no roots")
-    radius, q, bits = _pfaff_basis(p, precision)
-    current, sweeps_double = _aberth_double(q, _initial_circle(q, seed))
+    radius, q, bits = _pfaff_basis(p)
+    current, sweeps_double = _aberth(_double_newton(q), _initial_circle(q, seed),
+                                     2.0 ** -26)
     diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
     for attempt in range(4):
         fixed = _scaled_fixed(p, radius, bits)
         with mp.workprec(bits):
-            current, sweeps_mp = _aberth_mp(fixed, current)
-            zeros = [complex(radius * u / (radius * u - 1)) for u in current]
+            u = np.array([mp.mpc(v) for v in current], dtype=object)
+            current, sweeps_mp = _aberth(_fixed_newton(fixed, bits), u,
+                                         2.0 ** (-_SOLVE_MARGIN // 2))
+            zeros = [complex(radius * v / (radius * v - 1)) for v in current]
         diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
         diag["bits_solve"] = bits
         radii, disjoint = _inclusion_disks(p, radius, bits, fixed, current)

@@ -24,7 +24,7 @@ from .errors import ConfigError, HypzeroError
 from .flows import (IN_E, NOT_IN_E, PathTrace, classify_region,
                     separatrices)
 from .hyperpoly import Polynomial, coefficients, real_family_coefficients
-from .kernel import Alpha, DOUBLE, Precision
+from .kernel import Alpha
 from .levelcurve import (LevelCurve, coverage_gap, distance_to_curve,
                          trace_level_curve)
 from .roots import ZeroSet, find_roots
@@ -78,7 +78,6 @@ class GridSpec:
 class ExperimentConfig:
     alpha: Alpha
     n_list: tuple[int, ...]
-    precision: Precision = DOUBLE
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out_dir: str | None = None
     formats: tuple[str, ...] = ("json",)
@@ -101,7 +100,6 @@ class ExperimentConfig:
         return {
             "alpha": [self.alpha.eta, self.alpha.zeta],
             "n_list": list(self.n_list),
-            "precision_bits": self.precision.bits,
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
             "formats": list(self.formats),
             "grid": None if self.grid is None else
@@ -253,8 +251,7 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
         samples: list[RootSample] = []
         try:
             p = _build_polynomial(n, config)
-            zeros = find_roots(p, precision=config.precision,
-                               residual_tol=config.tolerances["residual"])
+            zeros = find_roots(p, residual_tol=config.tolerances["residual"])
             dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve,
                                                      restrict_to_E=True)
             distances = tuple(float(d) for d in dists)
@@ -303,7 +300,6 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
 
 
 def run_realcase_crosscheck(k: float, l: float, n_list,
-                            precision: Precision = DOUBLE,
                             tolerances: dict | None = None,
                             out_dir: str | None = None,
                             formats=("json",)) -> VerificationReport:
@@ -313,7 +309,7 @@ def run_realcase_crosscheck(k: float, l: float, n_list,
     if l < 0:
         raise ConfigError("l must be nonnegative")
     config = ExperimentConfig(
-        alpha=Alpha(k, 0.0), n_list=tuple(n_list), precision=precision,
+        alpha=Alpha(k, 0.0), n_list=tuple(n_list),
         tolerances=dict(tolerances or DEFAULT_TOLERANCES),
         out_dir=out_dir, formats=tuple(formats), shift=l)
     return run_theorem_check(config)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypzero.errors import DomainError, SingularPointError
-from hypzero.kernel import (Alpha, DOUBLE, Precision, continued_log,
-                            parse_precision, phase, phase_derivative,
-                            phase_second_derivative, principal_log)
+from hypzero.kernel import (Alpha, Precision, continued_log, phase,
+                            phase_derivative, phase_second_derivative,
+                            principal_log)
 
 
 def test_principal_log_basics():
@@ -163,14 +163,6 @@ def test_phase_continuation_around_origin():
     assert br.parts[0].imag == pytest.approx(2.0 * math.pi)
 
 
-def test_precision_parsing():
-    assert parse_precision("double") is DOUBLE
-    assert parse_precision("extended:200").bits == 200
-    assert parse_precision("extended").bits == 160
-    with pytest.raises(DomainError):
-        parse_precision("quad")
-    with pytest.raises(DomainError):
-        parse_precision("extended:banana")
+def test_precision_below_24_bits_rejected():
     with pytest.raises(DomainError):
         Precision(bits=8)
-    assert Precision(bits=200).decimal_digits >= 60

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hypzero.errors import SelectionError
+from hypzero.errors import SelectionError, TracingError
 from hypzero.kernel import Alpha
+from hypzero import levelcurve
 from hypzero.levelcurve import (LevelCurve, _min_dist_to_polyline,
                                 distance_to_curve, trace_level_curve)
 from hypzero.saddle import level_constant, saddle_point
@@ -79,6 +80,21 @@ def test_complex_parameters_have_closed_admissible_loop():
         assert len(good) == 1
         assert good[0].closed
         assert min(p.real for p in good[0].points) > 0.0
+
+
+def test_branch_open_at_the_step_cap_raises(monkeypatch):
+    # for 1+i the refusal before tracing asks for 1,414 steps of 1e-3 |w0|,
+    # while the InE loop takes 2,522 vertices and the first NotInE branch
+    # 4,605: under a cap of 2,000 steps they are still open, which must not
+    # come back as truncated arcs
+    a = Alpha(1.0, 1.0)
+    resolution = 1e-3 * abs(a.saddle_base)
+    assert 2.0 * abs(1.0 - a.saddle_base) / resolution < 2000
+    in_e = [arc for arc in trace_level_curve(a).arcs if arc.region == "InE"]
+    assert in_e[0].closed and len(in_e[0].points) > 2000
+    monkeypatch.setattr(levelcurve, "_MAX_STEPS", 2000)
+    with pytest.raises(TracingError, match="still open after 2000 steps"):
+        trace_level_curve(a)
 
 
 def test_saddle_identity_on_admissible_arc():

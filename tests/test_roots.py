@@ -9,9 +9,11 @@ import pytest
 from hypzero.errors import DomainError
 from hypzero.hyperpoly import (coefficients, coefficients_mp,
                                pfaff_coefficients_mp, real_family_coefficients)
-from hypzero.kernel import DOUBLE, Alpha, Precision
-from hypzero.roots import (_distinct, _fixed_horner, _inclusion_disks,
-                           _pfaff_basis, _scaled_fixed, _to_fixed, find_roots)
+from hypzero.kernel import Alpha
+from hypzero.roots import (_JITTER_SEED, _SOLVE_MARGIN, _aberth, _distinct,
+                           _double_newton, _fixed_horner, _fixed_newton,
+                           _inclusion_disks, _initial_circle, _pfaff_basis,
+                           _scaled_fixed, _to_fixed, find_roots)
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
@@ -59,7 +61,7 @@ def test_root_count_and_residuals(n, alpha):
 @pytest.mark.slow
 def test_extended_mode_large_degree():
     # the extended regime handles degree 200
-    zs = find_roots(coefficients(200, A1), precision=Precision(bits=160))
+    zs = find_roots(coefficients(200, A1))
     assert len(zs.zeros) == 200
     assert max(zs.residuals) <= 1e-10
     assert min(z.real for z in zs.zeros) > 0.5
@@ -158,7 +160,7 @@ def _exact_u(p, radius, u0, bits=400):
 def test_inclusion_disks_hold_their_zero_and_refuse_bad_approximations():
     n = 30
     p = coefficients(n, AI)
-    radius, _, bits = _pfaff_basis(p, DOUBLE)
+    radius, _, bits = _pfaff_basis(p)
     fixed = _scaled_fixed(p, radius, bits)
     zs = find_roots(p)
     exact = _exact_u(p, radius, [z / (z - 1) / radius for z in zs.zeros])
@@ -205,6 +207,31 @@ def test_zeros_agree_with_z_basis_newton_polish():
         assert abs(z0 - z) <= 1e-12 * abs(z)
         assert abs(z0 - z) <= rho + 2.0 ** -52 * abs(z0)
     assert _distinct(polished, 1e-3 / n)
+
+
+def test_double_pass_ends_when_no_root_is_left():
+    # a root leaves the sweep at a 2^-26 relative update, so the pass does
+    # not run on through 25 stalled sweeps at the rounding floor
+    assert find_roots(coefficients(15, AI)).iterations["sweeps_double"] <= 15
+
+
+def test_fixed_point_pass_from_certified_approximations_ends_at_once():
+    # the two passes of find_roots at n = 30, then one more fixed-point pass
+    # from where they ended: every root leaves in the first sweep
+    p = coefficients(30, AI)
+    radius, q, bits = _pfaff_basis(p)
+    fixed = _scaled_fixed(p, radius, bits)
+    u, _ = _aberth(_double_newton(q), _initial_circle(q, _JITTER_SEED), 2.0 ** -26)
+    tol = 2.0 ** (-_SOLVE_MARGIN // 2)
+    with mp.workprec(bits):
+        u = np.array([mp.mpc(v) for v in u], dtype=object)
+        u, _ = _aberth(_fixed_newton(fixed, bits), u, tol)
+        again, sweeps = _aberth(_fixed_newton(fixed, bits), u, tol)
+        moved = [float(abs(b - a) / abs(a)) for a, b in zip(u, again)]
+    zs = find_roots(p)
+    assert zs.iterations["bits_solve"] == bits and zs.iterations["escalations"] == 0
+    assert sweeps == 1
+    assert max(moved) < tol
 
 
 @pytest.mark.parametrize("bits", [200, 600])

@@ -177,7 +177,9 @@ def test_cli_exit_codes(tmp_path):
     assert os.path.exists(os.path.join(out, "report.json"))
     assert main(["check", "--alpha-re", "-2"]) == 2
     assert main(["check", "--alpha-re", "1", "--n", "9,5"]) == 2
-    assert main(["check", "--alpha-re", "1", "--precision", "bogus"]) == 2
+    cfg = tmp_path / "hypzero.cfg"
+    cfg.write_text("precision = extended:200\n")
+    assert main(["check", "--alpha-re", "1", "--config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize("argv", [
