@@ -43,10 +43,6 @@ class IndeterminateRegionError(HypzeroError):
     """Region classification ended without reaching a terminal."""
 
 
-class ContinuationError(HypzeroError):
-    """Newton continuation along an implicit path stalled."""
-
-
 class SelectionError(HypzeroError):
     """A filter (e.g. arcs restricted to a region) selected nothing."""
 

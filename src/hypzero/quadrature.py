@@ -14,23 +14,23 @@ Three contours appear:
   branch point 1/z, supplied by the flow tracer as a polyline, with the
   spiral near the origin truncated at radius epsilon and replaced by an
   explicit error budget;
-* the implicit constant-phase path from 1/z to 1 defined by
-  ``g(t) = s * g(1)`` with real parameter s, advanced by Newton
-  continuation, along which the integral factors as ``g(1)^n`` times a
-  tail factor whose n-th root tends to 1.
+* the steepest-descent path from t = 1 to the branch point 1/z, on which
+  ``g(t) / g(1)`` is real in (0, 1], traced by the same flow tracer and
+  integrated by the same polyline rule; the integral factors as
+  ``g(1)^n`` times a tail factor whose n-th root tends to 1.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (AccuracyError, ContinuationError, DomainError,
-                     RegionError, TracingError)
-from .kernel import Alpha, BranchTrackedValue, phase, phase_derivative
-from .flows import (DESCENT, ENDPOINT_0, ENDPOINT_1, IN_E, StopRule,
-                    classify_region, saddle_directions, trace_flow)
+from .errors import AccuracyError, DomainError, RegionError, TracingError
+from .kernel import Alpha, BranchTrackedValue, phase
+from .flows import (DESCENT, ENDPOINT_0, ENDPOINT_1, IN_E, PathTrace,
+                    StopRule, classify_region, saddle_directions, trace_flow)
 from .saddle import saddle_point
 
 # Gauss 7 / Kronrod 15 nodes and weights on [-1, 1]
@@ -61,7 +61,6 @@ class ContourIntegral:
     log_modulus: float
     phase: float
     abs_error_bound: float
-    contour_id: str
     truncation_log: float = -math.inf
 
     @property
@@ -113,7 +112,6 @@ def _gk15(f, a: float, b: float) -> tuple[complex, float]:
 def _adaptive(f, a: float, b: float, tol_abs: float,
               max_panels: int = 4000) -> tuple[complex, float]:
     """Bisection-adaptive GK15 for a complex integrand on [a, b]."""
-    import heapq
     val, err = _gk15(f, a, b)
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
@@ -178,7 +176,6 @@ def euler_integral(n: int, alpha: Alpha, z: complex,
         log_modulus=shift + _log_abs(val),
         phase=cmath.phase(val) if val != 0 else 0.0,
         abs_error_bound=shift + (math.log(err_total) if err_total > 0 else -math.inf),
-        contour_id=f"euler[0,1] n={n}",
         truncation_log=shift + (math.log(tail) if tail > 0 else -math.inf),
     )
 
@@ -217,6 +214,25 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
     # rounding n-fold
     err += (4.0 + 2.0 * n) * 1e-16 * length
     return total, err
+
+
+def _trace_to_inverse(start: complex, z: complex, alpha: Alpha,
+                      stop: StopRule,
+                      initial_branch: BranchTrackedValue | None = None
+                      ) -> PathTrace:
+    """Descent trace from ``start`` stopped at the tight radius
+    ``1e-9 (1 + |1/z|)`` (or ``stop``'s, if smaller) of a branch point."""
+    tight = min(stop.branch_radius, 1e-9 * (1.0 + abs(1.0 / z)))
+    return trace_flow(start, z, alpha, DESCENT,
+                      stop=replace(stop, branch_radius=tight),
+                      corrector_tol=1e-10, initial_branch=initial_branch)
+
+
+def _log_tail_at_inverse(trace: PathTrace, z: complex, n: int) -> float:
+    """Log bound on ``int g^n`` from the end of ``trace`` to 1/z: inside the
+    stop radius ``|g|^n`` decays like ``dist^n``."""
+    dist = abs(trace.points[-1] - 1.0 / z)
+    return n * trace.phases[-1].value.real + math.log(dist / (n + 1.0) + 1e-300)
 
 
 def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
@@ -260,10 +276,7 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
     _, leg0 = legs[ENDPOINT_0]
     d1, _ = legs[ENDPOINT_1]
     # re-trace the 1/z leg to a tight radius
-    tight = min(stop.branch_radius, 1e-9 * (1.0 + abs(1.0 / z)))
-    leg1 = trace_flow(t0 + rho * d1, z, alpha, DESCENT,
-                      stop=replace(stop, branch_radius=tight),
-                      corrector_tol=1e-10, initial_branch=anchor)
+    leg1 = _trace_to_inverse(t0 + rho * d1, z, alpha, stop, anchor)
     if leg1.terminal != ENDPOINT_1:
         raise TracingError("tight re-trace lost the 1/z endpoint",
                            {"terminal": leg1.terminal})
@@ -291,19 +304,13 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
     log_eps_budget = (log_m + (alpha.eta + 1.0) * math.log(abs(w_eps))
                       - math.log(alpha.eta + 1.0))
 
-    # tail inside the tight radius at 1/z: |g|^n decays like dist^n
-    end_br = leg1.phases[-1]
-    dist_end = abs(leg1.points[-1] - 1.0 / z)
-    log_tail1 = n * end_br.value.real + math.log(dist_end / (n + 1.0) + 1e-300)
-
-    trunc = _log_add(log_eps_budget, log_tail1)
+    trunc = _log_add(log_eps_budget, _log_tail_at_inverse(leg1, z, n))
     log_err = _log_add(shift + (math.log(quad_err) if quad_err > 0 else -math.inf),
                        trunc)
     return ContourIntegral(
         log_modulus=shift + _log_abs(total),
         phase=cmath.phase(total) if total != 0 else 0.0,
         abs_error_bound=log_err,
-        contour_id=f"descent eps={epsilon:g} n={n}",
         truncation_log=trunc,
     )
 
@@ -317,21 +324,23 @@ class EndpointIntegral:
     k_value: complex                # the tail factor K
     k_error: float                  # absolute error on K
     junction_phase_gap: float | None
-    path: tuple[complex, ...]       # continuation knots, t(1)=1 first
+    path: tuple[complex, ...]       # trace vertices, t = 1 first
 
 
 def endpoint_integral(n: int, alpha: Alpha, z: complex,
                       check_region: bool = True,
-                      junction_branch: BranchTrackedValue | None = None,
-                      s_floor: float = 1e-8) -> EndpointIntegral:
-    """``int g^n dt`` from 1/z to 1 along the implicit constant-phase path.
+                      junction_branch: BranchTrackedValue | None = None
+                      ) -> EndpointIntegral:
+    """``int g^n dt`` from 1/z to 1 along the steepest-descent path from 1.
 
-    The path ``t(s)`` solves ``g(t) = s * g(1)`` for real s in [0, 1] and is
-    advanced by Newton continuation from t(1) = 1 with the previous point as
-    seed.  Along it the integral becomes ``(1-z)^n * K`` with
-    ``K = int_0^1 f(s) s^(n-1) ds``; K is returned explicitly because its
-    n-th root magnitude is a convergence diagnostic.  ``junction_branch``
-    (the continued phase at the 1/z end of the descent contour) enables a
+    On that path ``g(t) / g(1)`` is real and falls from 1 to 0, so it is
+    the implicit path ``g(t) = s g(1)``, s in [0, 1].  It is traced by
+    :func:`trace_flow` to the tight 1/z radius of :func:`descent_integral`
+    and integrated by the same polyline rule; a trace that does not end at
+    1/z (z outside E) raises :class:`RegionError`.  The integral is
+    returned as ``(1-z)^n * K``; K is explicit because its n-th root
+    magnitude is a convergence diagnostic.  ``junction_branch`` (the
+    continued phase at the 1/z end of the descent contour) enables a
     sheet-consistency check across the junction.
     """
     if n <= 0:
@@ -343,90 +352,34 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
         if label.label != IN_E:
             raise RegionError(f"endpoint_integral: z={z} classifies {label.label}")
 
-    a = alpha.value
-    g1 = 1.0 - z
-    t_sad = a / ((a + 1.0) * z)
-    bp1 = 1.0 / z
-
-    def newton(s: float, t_seed: complex, br_prev: BranchTrackedValue):
-        t = t_seed
-        br = br_prev
-        for _ in range(60):
-            br = phase(t, z, alpha, branch=br_prev)
-            g = cmath.exp(br.value)
-            resid = g - s * g1
-            dp = phase_derivative(t, z, alpha)
-            step = -resid / (g * dp)
-            lim = 0.25 * min(abs(t), abs(t - bp1)) + 1e-300
-            if abs(step) > lim:
-                step *= lim / abs(step)
-            t = t + step
-            if abs(step) <= 1e-14 * (1.0 + abs(t)):
-                br = phase(t, z, alpha, branch=br_prev)
-                return t, br
-        raise ContinuationError(f"implicit path stalled at s={s}")
-
-    # continuation knots from s=1 down to s_floor
-    knots_s = [1.0]
-    knots_t = [1.0 + 0j]
-    knots_br = [phase(1.0 + 0j, z, alpha)]
-    s = 1.0
-    while s > s_floor:
-        t_here = knots_t[-1]
-        speed = abs(g1) / max(abs(cmath.exp(knots_br[-1].value)
-                                  * phase_derivative(t_here, z, alpha)), 1e-300)
-        target_dt = 0.1 * min(abs(t_here), abs(t_here - bp1),
-                              abs(t_here - t_sad) + 1e-12)
-        ds = max(min(target_dt / speed, 0.05, s * 0.5), 1e-12)
-        s_next = max(s - ds, s_floor)
-        t_next, br_next = newton(s_next, knots_t[-1], knots_br[-1])
-        knots_s.append(s_next)
-        knots_t.append(t_next)
-        knots_br.append(br_next)
-        s = s_next
-        if len(knots_s) > 100_000:
-            raise ContinuationError("implicit path: too many continuation steps")
+    trace = _trace_to_inverse(1.0 + 0j, z, alpha, StopRule())
+    if trace.terminal != ENDPOINT_1:
+        raise RegionError(f"endpoint_integral: descent from t=1 ends "
+                          f"{trace.terminal}, not at 1/z")
 
     junction_gap = None
     if junction_branch is not None:
-        junction_gap = abs(knots_br[-1].imag_phase - junction_branch.imag_phase)
+        junction_gap = abs(trace.phases[-1].imag_phase - junction_branch.imag_phase)
 
-    def f_of(t: complex) -> complex:
-        return t * (1.0 - z * t) / (a - (a + 1.0) * z * t)
-
-    # K on each continuation panel; t re-solved at quadrature nodes
-    k_total = 0j
-    k_err = (8.0 + n) * 1e-16 * max(abs(f_of(t)) for t in knots_t)
-    for i in range(len(knots_s) - 1):
-        s_hi, s_lo = knots_s[i], knots_s[i + 1]
-        t_hi, br_hi = knots_t[i], knots_br[i]
-        t_lo = knots_t[i + 1]
-
-        def f(sv: float, s_hi=s_hi, s_lo=s_lo, t_hi=t_hi, t_lo=t_lo, br_hi=br_hi):
-            w = (sv - s_lo) / (s_hi - s_lo) if s_hi != s_lo else 0.5
-            seed = t_lo + w * (t_hi - t_lo)
-            t, _ = newton(sv, seed, br_hi)
-            return f_of(t) * sv ** (n - 1)
-
-        v, e = _adaptive(f, s_lo, s_hi, 1e-16, max_panels=48)
-        k_total += v
-        k_err += e
-    # tail below s_floor: |f| bounded by its value near the endpoint
-    f_end = abs(f_of(knots_t[-1]))
-    k_err += 2.0 * f_end * s_floor ** n / n
-
+    # the trace runs 1 -> 1/z; |g(1)|^n is the contour maximum
+    g1 = 1.0 - z
     log_mod_end = n * math.log(abs(g1))
-    val_phase = n * cmath.phase(g1) + (cmath.phase(k_total) if k_total != 0 else 0.0)
+    total, err = _polyline_power_integral(trace.points, trace.phases, z, alpha,
+                                          n, log_mod_end)
+    k_total = -total * cmath.exp(-1j * n * cmath.phase(g1))
+    log_tail = _log_tail_at_inverse(trace, z, n)
+    k_err = err + math.exp(log_tail - log_mod_end)
+
     integral = ContourIntegral(
         log_modulus=log_mod_end + _log_abs(k_total),
-        phase=val_phase,
+        phase=n * cmath.phase(g1) + (cmath.phase(k_total) if k_total != 0 else 0.0),
         abs_error_bound=log_mod_end + (math.log(k_err) if k_err > 0 else -math.inf),
-        contour_id=f"endpoint-path n={n}",
+        truncation_log=log_tail,
     )
     return EndpointIntegral(integral=integral, endpoint_log_modulus=log_mod_end,
                             k_value=k_total, k_error=k_err,
                             junction_phase_gap=junction_gap,
-                            path=tuple(knots_t))
+                            path=trace.points)
 
 
 def moment_nth_roots(f, n_list, rel_tol: float = 1e-12) -> list[float]:

@@ -95,8 +95,8 @@ def _aberth(newton, z: np.ndarray, tol: float,
     ``mpc``, where ``newton(z, idx)`` gives ``p/p'`` at ``z[idx]``.  The
     repulsion runs in double: it shapes the basins, not the fixed points.
     A root leaves the sweep once its relative update is below ``tol``; the
-    pass ends when none is left, after 25 sweeps in a row in which none
-    left and the largest update did not halve, or after ``max_sweeps``.
+    pass ends when none is left, after 25 sweeps in a row in which the
+    largest update did not halve, or after ``max_sweeps``.
     """
     z = z.copy()
     active = np.arange(len(z))
@@ -117,7 +117,7 @@ def _aberth(newton, z: np.ndarray, tol: float,
         halved = moved.max() < 0.5 * best
         if halved:
             best = moved.max()
-        stale = 0 if halved or not keep.all() else stale + 1
+        stale = 0 if halved else stale + 1
         if stale >= 25:
             break
         active = active[keep]

@@ -163,6 +163,36 @@ def test_endpoint_rejects_collapsed_path():
         endpoint_integral(5, A1, 1.0, check_region=False)
 
 
+@pytest.mark.parametrize("a, z", [(A1, 0.3 + 0.1j), (AI, 0.2 + 0.5j),
+                                  (A2I, 0.4 - 0.1j)])
+def test_endpoint_refuses_z_outside_region(a, z):
+    # outside E the descent from t = 1 ends at the origin, not at 1/z; its
+    # integral would be the one over [0, 1], not the endpoint piece
+    with pytest.raises(RegionError):
+        endpoint_integral(10, a, z, check_region=False)
+
+
+@pytest.mark.parametrize("a, z", [(A1, 1.2 + 0.3j), (AI, 1.2 + 0.3j),
+                                  (A2I, 1.2 - 0.3j)])
+def test_endpoint_k_matches_straight_segment_oracle(a, z):
+    # K = int_{1/z}^1 g^n dt / (1-z)^n along the straight segment, at 100
+    # digits: the segment leaves the descent path, where g^n cancels, so the
+    # oracle needs the digits, and 32 and 64 panels must agree
+    for n in (10, 40, 160):
+        res = endpoint_integral(n, a, z, check_region=False)
+        with mp.workdps(100):
+            zz, an = mp.mpc(z), mp.mpc(a.value) * n
+            f = lambda t: mp.exp(an * mp.log(t)) * ((1 - zz * t) / (1 - zz)) ** n
+            refs = [mp.quad(f, [1 / zz + (1 - 1 / zz) * mp.mpf(k) / panels
+                                for k in range(panels + 1)],
+                            method="gauss-legendre", maxdegree=4)
+                    for panels in (32, 64)]
+            assert abs(refs[0] - refs[1]) <= 1e-30 * abs(refs[1])
+        ref = complex(refs[1])
+        assert abs(res.k_value - ref) <= res.k_error, (n, a.value, z)
+        assert abs(res.k_value - ref) <= 1e-12 * abs(ref), (n, a.value, z)
+
+
 def test_junction_branch_consistency():
     n, a, z = 12, AI, 1.1 + 0.4j
     i1 = descent_integral(n, a, z, epsilon=1e-4, check_region=False)

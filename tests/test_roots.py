@@ -215,6 +215,13 @@ def test_double_pass_ends_when_no_root_is_left():
     assert find_roots(coefficients(15, AI)).iterations["sweeps_double"] <= 15
 
 
+def test_double_pass_stall_count_ignores_roots_leaving():
+    # only a halving of the largest update resets the 25-sweep stall count:
+    # at n = 60 roots that leave one at a time near the 2^-26 tolerance
+    # must not keep the pass running at the rounding floor of q
+    assert find_roots(coefficients(60, AI)).iterations["sweeps_double"] <= 35
+
+
 def test_fixed_point_pass_from_certified_approximations_ends_at_once():
     # the two passes of find_roots at n = 30, then one more fixed-point pass
     # from where they ended: every root leaves in the first sweep
