@@ -51,9 +51,16 @@ class StopRule:
     spiral with infinite winding number, so the radius rule (not a step
     budget) must be what fires there.  ``infinity_radius=None`` selects the
     default ``10 * (1 + |1/z|)``.
+
+    ``capture_radius`` widens only the terminal test at each branch point:
+    a vertex that comes that close ends the trace there.  It is meant for a
+    disk the flow provably cannot leave (see :func:`capture_radius`), so
+    it stays out of the step-size scale, the start check and everything
+    else, and the vertices up to the stop are those of a trace without it.
     """
 
     branch_radius: float = 1e-8
+    capture_radius: float = 0.0
     max_arclength: float = 400.0
     infinity_radius: float | None = None
     saddle_radius: float | None = None
@@ -137,6 +144,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
 
     if abs(start) <= stop.branch_radius or abs(start - bp1) <= stop.branch_radius:
         raise DomainError("trace_flow: start lies on a branch point")
+    end_radius = max(stop.branch_radius, stop.capture_radius)
 
     def local_scale(t: complex) -> float:
         # shrink steps near the branch points and near the saddle hairpin
@@ -227,9 +235,9 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
         drift = max(drift, abs(br.imag_phase - target_im))
         min_saddle = min(min_saddle, abs(t - t_saddle))
 
-        if abs(t) <= stop.branch_radius:
+        if abs(t) <= end_radius:
             terminal = ENDPOINT_0
-        elif abs(t - bp1) <= stop.branch_radius:
+        elif abs(t - bp1) <= end_radius:
             terminal = ENDPOINT_1
         elif abs(t) >= inf_radius:
             terminal = ENDPOINT_INFINITY
@@ -261,30 +269,66 @@ def saddle_directions(z: complex, alpha: Alpha) -> SaddleDirections:
     return SaddleDirections(descent=(d, -d), ascent=(u, -u))
 
 
+def capture_radius(alpha: Alpha) -> float:
+    """Radius ``r_c`` of the two disks, around w = 0 and w = 1, that the
+    w-plane descent flow cannot leave once it has entered them.
+
+    Along dw/ds = -conj(psi')/|psi'| of psi(w) = alpha*log(w) + log(1 - w),
+    the distance to a point c changes as d|w - c|^2/ds = -2 Re((w-c) psi')
+    / |psi'|.  Here (w-1) psi' = 1 + alpha (w-1)/w has a positive real part
+    wherever |w - 1| < r1 = 1/(1+|alpha|), and w psi' = alpha - w/(1-w)
+    wherever |w| < r0 = eta/(1+eta).  So a descent path that enters either
+    disk moves strictly closer to its centre and ends there.  The saddle
+    w0 = alpha/(alpha+1) has |1 - w0| >= r1 and |w0| >= r0, and
+    r0 + r1 <= 1, so with r_c = min(r0, r1)/2 the two capture disks are
+    disjoint and w0 stays at least r_c away from both, also for a real
+    parameter, where |1 - w0| = r1.
+    """
+    r0 = alpha.eta / (1.0 + alpha.eta)
+    r1 = 1.0 / (1.0 + abs(alpha.value))
+    return 0.5 * min(r0, r1)
+
+
 def classify_region(z: complex, alpha: Alpha, boundary_tol: float = 1e-6,
                     stop: StopRule | None = None) -> RegionLabel:
     """Basin label of ``z`` under the w-plane descent flow.
 
     Descent from ``w = z`` terminating at the branch point 1 means z is in
-    the admissible region; terminating at 0 means it is not.  A trace that
-    reaches the w-plane saddle within ``boundary_tol`` is split along both
-    local descent directions: agreement of the two restarts decides the
-    label, disagreement reports the boundary.  The margin is the closest
-    approach of the trace to the saddle, a proxy for the distance to the
-    separatrix that degrades to 0 on the boundary itself.
+    the admissible region; terminating at 0 means it is not.  The trace
+    stops as soon as a vertex enters one of the two capture disks of
+    :func:`capture_radius`, from which the flow provably goes on to that
+    disk's centre; a start inside one is labelled without a trace.  A trace
+    that reaches the w-plane saddle within ``boundary_tol`` is split along
+    both local descent directions: agreement of the two restarts decides
+    the label, disagreement reports the boundary.
+
+    The margin is a lower bound on the closest approach of the descent path
+    to the saddle w0, a proxy for the distance to the separatrix that
+    degrades to 0 on the boundary itself: the smaller of the traced
+    vertices' closest approach and |c - w0| - |t_last - c|, where c is the
+    branch point reached and t_last the last vertex.  The untraced rest of
+    the path stays within |t_last - c| of c, because the distance to c keeps
+    falling inside the disk.  The bound is at most 2 r_c below the closest
+    approach of a trace run on to ``branch_radius``.
     """
     if z == 0 or z == 1:
         raise DomainError("classify_region: z on a branch point of the w-plane flow")
     w0 = alpha.saddle_base
     if abs(z - w0) <= boundary_tol:
         return RegionLabel(label=BOUNDARY, margin=0.0)
+    r_c = capture_radius(alpha)
+    for c, label in ((0.0, NOT_IN_E), (1.0, IN_E)):
+        if abs(z - c) <= r_c:
+            return RegionLabel(label=label, margin=abs(c - w0) - abs(z - c))
     rule = stop if stop is not None else StopRule()
-    rule = replace(rule, saddle_radius=boundary_tol)
+    rule = replace(rule, saddle_radius=boundary_tol, capture_radius=r_c)
     trace = trace_flow(z, 1.0, alpha, DESCENT, stop=rule)
-    if trace.terminal == ENDPOINT_1:
-        return RegionLabel(label=IN_E, margin=trace.min_saddle_distance)
-    if trace.terminal == ENDPOINT_0:
-        return RegionLabel(label=NOT_IN_E, margin=trace.min_saddle_distance)
+    if trace.terminal in (ENDPOINT_0, ENDPOINT_1):
+        c, label = ((1.0, IN_E) if trace.terminal == ENDPOINT_1
+                    else (0.0, NOT_IN_E))
+        bound = abs(c - w0) - abs(trace.points[-1] - c)
+        return RegionLabel(label=label,
+                           margin=min(trace.min_saddle_distance, bound))
     if trace.terminal == SADDLE_REACHED:
         labels = []
         for d in saddle_directions(1.0, alpha).descent:

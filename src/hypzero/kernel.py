@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, SingularPointError
 
@@ -49,8 +50,10 @@ class Alpha:
     def is_real_regime(self) -> bool:
         return self.zeta == 0.0
 
-    @property
+    @cached_property
     def value(self) -> complex:
+        # cached in the instance dict, which the frozen dataclass leaves
+        # writable; not a field, so equality, hashing and repr ignore it
         return complex(self.eta, self.zeta)
 
     @property

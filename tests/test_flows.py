@@ -1,14 +1,19 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypzero import flows
 from hypzero.errors import DomainError
 from hypzero.flows import (ASCENT, BOUNDARY, DESCENT, ENDPOINT_0, ENDPOINT_1,
                            ENDPOINT_INFINITY, IN_E, NOT_IN_E, StopRule,
-                           classify_region, halfplane_zero_free_check,
-                           saddle_directions, separatrices, trace_flow)
-from hypzero.kernel import Alpha
+                           capture_radius, classify_region,
+                           halfplane_zero_free_check, saddle_directions,
+                           separatrices, trace_flow)
+from hypzero.kernel import Alpha, phase_derivative
 from hypzero.levelcurve import _min_dist_to_polyline
 
 A1 = Alpha(1.0)
@@ -113,6 +118,67 @@ def test_classify_region_rejects_branch_points():
         classify_region(0.0, A1)
     with pytest.raises(DomainError):
         classify_region(1.0 + 0j, A1)
+
+
+@pytest.mark.parametrize("alpha", [A1, AI])
+@pytest.mark.parametrize("z, label", [(1 + 1e-9j, IN_E), (1e-9 + 0j, NOT_IN_E),
+                                      (1 - 5e-9 + 0j, IN_E)])
+def test_classify_region_next_to_branch_points(alpha, z, label):
+    # closer to 0 or 1 than a trace may start, yet inside a capture disk
+    got = classify_region(z, alpha)
+    assert got.label == label
+    assert got.margin > 0.0
+
+
+@given(st.floats(0.05, 4.0), st.floats(-3.0, 3.0),
+       st.floats(1e-6, 1.0), st.floats(-math.pi, math.pi))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_capture_disks_trap_the_descent_flow(eta, zeta, rho, theta):
+    # d|w - c|^2/ds = -2 Re((w - c) psi') / |psi'| along the descent flow;
+    # rho stays off 0, where 1 + u would round to the branch point itself
+    a = Alpha(eta, zeta)
+    r_c = capture_radius(a)
+    u = r_c * rho * cmath.exp(1j * theta)
+    near_one = 1.0 + u
+    assert ((near_one - 1.0) * phase_derivative(near_one, 1.0, a)).real > 0.0
+    assert (u * phase_derivative(u, 1.0, a)).real > 0.0
+    w0 = a.saddle_base
+    assert 2.0 * r_c < 1.0
+    assert abs(w0) > r_c and abs(1.0 - w0) > r_c
+
+
+@pytest.mark.parametrize("alpha", [A1, AI, Alpha(2.0, -1.0), Alpha(0.2),
+                                   Alpha(1.5, -2.0)])
+def test_capture_stop_matches_full_trace(alpha):
+    # the label of a trace run on to the 1e-8 branch radius, and a margin
+    # below its closest approach to w0 by at most twice the capture radius
+    slack = 2.0 * capture_radius(alpha)
+    for re in np.linspace(-0.5, 2.0, 12):
+        for im in np.linspace(-1.2, 1.2, 12):
+            z = complex(re, im)
+            full = trace_flow(z, 1.0, alpha, DESCENT,
+                              StopRule(saddle_radius=1e-6))
+            assert full.terminal in (ENDPOINT_0, ENDPOINT_1), (alpha, z)
+            got = classify_region(z, alpha)
+            want = IN_E if full.terminal == ENDPOINT_1 else NOT_IN_E
+            assert got.label == want, (alpha, z)
+            old = full.min_saddle_distance
+            assert old - slack <= got.margin <= old, (alpha, z)
+            assert got.margin >= min(old, slack / 2.0)
+
+
+def test_classify_region_traces_through_module_attribute(monkeypatch):
+    # per-layer timing wraps flows.trace_flow at the module attribute
+    starts = []
+    original = flows.trace_flow
+
+    def counting(start, *args, **kwargs):
+        starts.append(start)
+        return original(start, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "trace_flow", counting)
+    assert classify_region(-0.5 + 0.3j, AI).label == NOT_IN_E
+    assert starts == [-0.5 + 0.3j]
 
 
 def test_left_halfplane_outside_for_real_parameter():

@@ -232,6 +232,16 @@ def test_cli_curve_and_region(tmp_path):
     assert svg.count("<circle") == 25
 
 
+def test_cli_region_next_to_branch_point(tmp_path):
+    # the 2x2 grid straddles w = 1 within 1e-9; no point is 1 itself
+    out = tmp_path / "o4"
+    assert main(["region", "--grid=0.999999999:1.000000001:-1e-9:1e-9:2",
+                 f"--out={out}", "--format", "csv"]) == 0
+    rows = (out / "region.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[2] in ("InE", "NotInE") for row in rows)
+
+
 def test_cli_asym(tmp_path):
     out = str(tmp_path / "o3")
     assert main(["asym", "--alpha-re", "1", "--n", "10",
