@@ -10,7 +10,7 @@ from .saddle import SaddleData, descent_integral_estimate, level_constant, saddl
 from .flows import PathTrace, RegionLabel, StopRule, classify_region, \
     halfplane_zero_free_check, saddle_directions, separatrices, trace_flow
 from .quadrature import ContourIntegral, descent_integral, endpoint_integral, \
-    euler_integral, moment_nth_roots
+    euler_integral
 from .roots import ZeroSet, find_roots
 from .levelcurve import LevelCurve, distance_to_curve, trace_level_curve
 from .verify import ExperimentConfig, GridSpec, VerificationReport, \

@@ -104,23 +104,21 @@ def _common_settings(args):
     out_dir = _merged(args, "out", str, "out")
     formats = tuple((_merged(args, "format", str, "json")).split(","))
     tolerances = dict(DEFAULT_TOLERANCES)
-    tr = _merged(args, "tol-residual", float, None)
-    tb = _merged(args, "tol-boundary", float, None)
-    if tr is not None:
-        tolerances["residual"] = float(tr)
-    if tb is not None:
-        tolerances["boundary"] = float(tb)
+    for key in ("residual", "boundary"):
+        value = _merged(args, f"tol-{key}", float, tolerances[key])
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"tol-{key} must be positive and finite, got {value!r}")
+        tolerances[key] = value
     grid_text = _merged(args, "grid", str, None)
     grid = GridSpec.parse(grid_text) if grid_text else None
     return alpha, out_dir, formats, tolerances, grid
 
 
 def _cmd_check(args) -> int:
-    alpha, out_dir, formats, tolerances, grid = _common_settings(args)
+    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     config = ExperimentConfig(alpha=alpha, n_list=_parse_n_list(n_text),
-                              tolerances=tolerances, out_dir=out_dir,
-                              formats=formats, grid=grid)
+                              tolerances=tolerances, formats=formats)
     report = run_theorem_check(config)
     emit_report(report, out_dir, formats)
     print(f"check: wrote {out_dir}; passed={report.passed}")
@@ -133,7 +131,7 @@ def _cmd_realcase(args) -> int:
     l = float(_merged(args, "l", float, 0.0))
     n_text = _merged(args, "n", str, "10,20,50")
     report = run_realcase_crosscheck(k, l, _parse_n_list(n_text), tolerances=tolerances,
-                                     out_dir=out_dir, formats=formats)
+                                     formats=formats)
     emit_report(report, out_dir, formats)
     print(f"realcase: wrote {out_dir}; passed={report.passed}")
     return 0 if report.passed else 1

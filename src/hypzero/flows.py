@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (DomainError, IndeterminateRegionError, TracingError)
 from .kernel import (Alpha, BranchTrackedValue, phase, phase_derivative,
@@ -41,6 +41,9 @@ IN_E = "InE"
 NOT_IN_E = "NotInE"
 BOUNDARY = "Boundary"
 
+_MAX_STEPS = 400_000        # accepted and rejected steps per trace
+_MAX_ARCLENGTH = 400.0
+
 
 @dataclass(frozen=True)
 class StopRule:
@@ -49,8 +52,9 @@ class StopRule:
     ``branch_radius`` stops the trace near each branch point; with a complex
     parameter the descent path winds around the origin on a logarithmic
     spiral with infinite winding number, so the radius rule (not a step
-    budget) must be what fires there.  ``infinity_radius=None`` selects the
-    default ``10 * (1 + |1/z|)``.
+    budget) must be what fires there.  Every trace also ends at
+    ``|t| >= 10 (1 + |1/z|)``, after an arclength of ``_MAX_ARCLENGTH`` or
+    after ``_MAX_STEPS`` steps.
 
     ``capture_radius`` widens only the terminal test at each branch point:
     a vertex that comes that close ends the trace there.  It is meant for a
@@ -61,10 +65,7 @@ class StopRule:
 
     branch_radius: float = 1e-8
     capture_radius: float = 0.0
-    max_arclength: float = 400.0
-    infinity_radius: float | None = None
     saddle_radius: float | None = None
-    max_steps: int = 400_000
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
     bp1 = 1.0 / z
     a = alpha.value
     t_saddle = a / ((a + 1.0) * z)
-    inf_radius = stop.infinity_radius
-    if inf_radius is None:
-        inf_radius = 10.0 * (1.0 + abs(bp1))
+    inf_radius = 10.0 * (1.0 + abs(bp1))
 
     if abs(start) <= stop.branch_radius or abs(start - bp1) <= stop.branch_radius:
         raise DomainError("trace_flow: start lies on a branch point")
@@ -175,7 +174,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
 
     while terminal is None:
         steps += 1
-        if steps > stop.max_steps:
+        if steps > _MAX_STEPS:
             terminal = TRUNCATED
             break
         h = min(h, 0.2 * local_scale(t))
@@ -244,7 +243,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
         elif (stop.saddle_radius is not None
               and abs(t - t_saddle) <= stop.saddle_radius):
             terminal = SADDLE_REACHED
-        elif arclength >= stop.max_arclength:
+        elif arclength >= _MAX_ARCLENGTH:
             terminal = TRUNCATED
 
         if turn < 0.05:
@@ -289,8 +288,8 @@ def capture_radius(alpha: Alpha) -> float:
     return 0.5 * min(r0, r1)
 
 
-def classify_region(z: complex, alpha: Alpha, boundary_tol: float = 1e-6,
-                    stop: StopRule | None = None) -> RegionLabel:
+def classify_region(z: complex, alpha: Alpha,
+                    boundary_tol: float = 1e-6) -> RegionLabel:
     """Basin label of ``z`` under the w-plane descent flow.
 
     Descent from ``w = z`` terminating at the branch point 1 means z is in
@@ -320,8 +319,7 @@ def classify_region(z: complex, alpha: Alpha, boundary_tol: float = 1e-6,
     for c, label in ((0.0, NOT_IN_E), (1.0, IN_E)):
         if abs(z - c) <= r_c:
             return RegionLabel(label=label, margin=abs(c - w0) - abs(z - c))
-    rule = stop if stop is not None else StopRule()
-    rule = replace(rule, saddle_radius=boundary_tol, capture_radius=r_c)
+    rule = StopRule(saddle_radius=boundary_tol, capture_radius=r_c)
     trace = trace_flow(z, 1.0, alpha, DESCENT, stop=rule)
     if trace.terminal in (ENDPOINT_0, ENDPOINT_1):
         c, label = ((1.0, IN_E) if trace.terminal == ENDPOINT_1
@@ -390,18 +388,16 @@ def halfplane_zero_free_check(z: complex, alpha: Alpha) -> HalfplaneCertificate:
                                 s_max=s_max, min_value=mn)
 
 
-def separatrices(alpha: Alpha, stop: StopRule | None = None,
-                 offset: float = 1e-7) -> tuple[PathTrace, PathTrace]:
+def separatrices(alpha: Alpha) -> tuple[PathTrace, PathTrace]:
     """The two ascent traces of the w-plane phase from its saddle.
 
     Together they form the boundary between the two basins.  Each trace
-    starts ``offset`` away from the saddle along an ascent direction of the
+    starts 1e-7 away from the saddle along an ascent direction of the
     local quadratic model.
     """
-    rule = stop if stop is not None else StopRule()
     w0 = alpha.saddle_base
     dirs = saddle_directions(1.0, alpha).ascent
     out = []
     for d in dirs:
-        out.append(trace_flow(w0 + offset * d, 1.0, alpha, ASCENT, stop=rule))
+        out.append(trace_flow(w0 + 1e-7 * d, 1.0, alpha, ASCENT))
     return out[0], out[1]

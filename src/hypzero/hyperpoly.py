@@ -16,7 +16,6 @@ factor; the true coefficient is ``coeffs[k] * exp(scale)``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,28 +45,6 @@ class Polynomial:
             raise DomainError("coefficient count must be degree + 1")
         if self.coeffs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.degree,
-            "alpha": [self.alpha.eta, self.alpha.zeta],
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            "scale": self.scale,
-        }
-        if self.b_offset != 1.0:
-            payload["b_offset"] = self.b_offset
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Polynomial":
-        d = json.loads(text)
-        return Polynomial(
-            degree=d["n"],
-            coeffs=tuple(complex(re, im) for re, im in d["coeffs"]),
-            scale=d["scale"],
-            alpha=Alpha(d["alpha"][0], d["alpha"][1]),
-            b_offset=d.get("b_offset", 1.0),
-        )
 
 
 def _closed_form(n: int, b: complex) -> list[complex]:
@@ -165,28 +142,3 @@ def evaluate(p: Polynomial, z: complex, precision: Precision = DOUBLE) -> comple
         for c in reversed(raw):
             acc = acc * zm + c
         return complex(acc)
-
-
-def evaluate_with_error(p: Polynomial, z: complex,
-                        precision: Precision = DOUBLE) -> tuple[complex, float]:
-    """Value plus a relative roundoff estimate from the coefficient-mass sum."""
-    value = evaluate(p, z, precision)
-    mass = coefficient_mass(p, z)
-    eps = 2.0 ** (1 - precision.bits)
-    rel = mass * eps / abs(value) if value != 0 else math.inf
-    return value, rel
-
-
-def coefficient_mass(p: Polynomial, z: complex) -> float:
-    """``sum_k |c_k| |z|^k`` including the scale factor (condition number scale)."""
-    az = abs(z)
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * az + abs(c)
-    return acc * math.exp(p.scale)
-
-
-def condition_scaled_residual(p: Polynomial, z: complex,
-                              precision: Precision = DOUBLE) -> float:
-    """|p(z)| divided by the coefficient mass; meaningful near roots at any n."""
-    return abs(evaluate(p, z, precision)) / coefficient_mass(p, z)

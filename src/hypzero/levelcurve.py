@@ -152,21 +152,17 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     return points, closed, crossed_cut
 
 
-def trace_level_curve(alpha: Alpha, resolution: float | None = None,
-                      corrector_tol: float = 1e-9,
+def trace_level_curve(alpha: Alpha, corrector_tol: float = 1e-9,
                       boundary_tol: float = 1e-6) -> LevelCurve:
     """Polyline arcs of the level set through the saddle.
 
-    ``resolution`` is the arclength step (default ``1e-3 * |w0|``).  Four
-    branch traces start at the self-intersection; traces that traverse the
-    same loop in opposite directions are deduplicated, and every surviving
-    arc is labelled with its basin.
+    The arclength step is ``1e-3 * |w0|``.  Four branch traces start at the
+    self-intersection; traces that traverse the same loop in opposite
+    directions are deduplicated, and every surviving arc is labelled with
+    its basin.
     """
     w0 = alpha.saddle_base
-    if resolution is None:
-        resolution = 1e-3 * abs(w0)
-    if resolution <= 0:
-        raise DomainError("trace_level_curve: resolution must be positive")
+    resolution = 1e-3 * abs(w0)
     if 2.0 * abs(1.0 - w0) > _MAX_STEPS * resolution:
         raise DomainError(f"trace_level_curve: the InE loop through {w0:.3g} "
                           f"around 1 needs over {_MAX_STEPS} steps of {resolution:.3g}")

@@ -25,9 +25,9 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError, RegionError, TracingError
+from .errors import DomainError, RegionError, TracingError
 from .kernel import Alpha, BranchTrackedValue, phase
 from .flows import (DESCENT, ENDPOINT_0, ENDPOINT_1, IN_E, PathTrace,
                     StopRule, classify_region, saddle_directions, trace_flow)
@@ -46,6 +46,8 @@ _K15_WEIGHTS = (
 )
 _G7_WEIGHTS = {1: 0.129484966168870, 3: 0.279705391489277,
                5: 0.381830050505119, 7: 0.417959183673469}
+
+_BRANCH_RADIUS = StopRule().branch_radius    # the default stop radius
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,7 @@ def _adaptive(f, a: float, b: float, tol_abs: float,
     return total_val, total_err
 
 
-def euler_integral(n: int, alpha: Alpha, z: complex,
-                   rel_tol: float = 1e-12) -> ContourIntegral:
+def euler_integral(n: int, alpha: Alpha, z: complex) -> ContourIntegral:
     """``int_0^1 t^(alpha n) (1 - z t)^n dt`` (no prefactor applied).
 
     Substituting ``t = exp(-u)`` maps the interval to [0, infinity) where
@@ -168,7 +169,7 @@ def euler_integral(n: int, alpha: Alpha, z: complex,
         w = f_log(u) - shift
         return cmath.exp(w) if w.real > -745.0 else 0j
 
-    tol = max(rel_tol * u_max, 1e-280)
+    tol = max(1e-12 * u_max, 1e-280)
     val, err = _adaptive(f, 0.0, u_max, tol)
     tail = math.exp(min(grow - decay * u_max - shift, 700.0)) / decay
     err_total = err + tail + 1e-16 * u_max
@@ -217,14 +218,13 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
 
 
 def _trace_to_inverse(start: complex, z: complex, alpha: Alpha,
-                      stop: StopRule,
                       initial_branch: BranchTrackedValue | None = None
                       ) -> PathTrace:
     """Descent trace from ``start`` stopped at the tight radius
-    ``1e-9 (1 + |1/z|)`` (or ``stop``'s, if smaller) of a branch point."""
-    tight = min(stop.branch_radius, 1e-9 * (1.0 + abs(1.0 / z)))
+    ``1e-9 (1 + |1/z|)`` (or the default one, if smaller) of a branch point."""
+    tight = min(_BRANCH_RADIUS, 1e-9 * (1.0 + abs(1.0 / z)))
     return trace_flow(start, z, alpha, DESCENT,
-                      stop=replace(stop, branch_radius=tight),
+                      stop=StopRule(branch_radius=tight),
                       corrector_tol=1e-10, initial_branch=initial_branch)
 
 
@@ -236,12 +236,11 @@ def _log_tail_at_inverse(trace: PathTrace, z: complex, n: int) -> float:
 
 
 def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
-                     check_region: bool = True,
-                     stop: StopRule = StopRule(),
-                     saddle_offset: float = 1e-6) -> ContourIntegral:
+                     check_region: bool = True) -> ContourIntegral:
     """``int g^n dt`` from the origin to 1/z along the steepest-descent contour.
 
-    The two descent legs are traced from the saddle; the leg into the origin
+    The two descent legs are traced from the saddle, starting 1e-6 of its
+    distance to the nearer branch point away from it; the leg into the origin
     is truncated at radius ``epsilon`` and the omitted spiral start
     contributes only the analytic budget ``M eps^(eta+1) / (eta+1)``.
     Requires z in the admissible region (checked unless ``check_region`` is
@@ -260,14 +259,14 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
     t0 = sd.t0
     anchor = sd.log_g_at_t0
     dirs = saddle_directions(z, alpha).descent
-    rho = saddle_offset * min(abs(t0), abs(1.0 / z - t0))
+    rho = 1e-6 * min(abs(t0), abs(1.0 / z - t0))
 
     legs = {}
     for d in dirs:
         start = t0 + rho * d
         # per-leg stop radius: coarse first to identify the endpoint
         probe = trace_flow(start, z, alpha, DESCENT,
-                           stop=replace(stop, branch_radius=max(epsilon, stop.branch_radius)),
+                           stop=StopRule(branch_radius=max(epsilon, _BRANCH_RADIUS)),
                            corrector_tol=1e-10, initial_branch=anchor)
         legs[probe.terminal] = (d, probe)
     if set(legs) != {ENDPOINT_0, ENDPOINT_1}:
@@ -276,7 +275,7 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
     _, leg0 = legs[ENDPOINT_0]
     d1, _ = legs[ENDPOINT_1]
     # re-trace the 1/z leg to a tight radius
-    leg1 = _trace_to_inverse(t0 + rho * d1, z, alpha, stop, anchor)
+    leg1 = _trace_to_inverse(t0 + rho * d1, z, alpha, anchor)
     if leg1.terminal != ENDPOINT_1:
         raise TracingError("tight re-trace lost the 1/z endpoint",
                            {"terminal": leg1.terminal})
@@ -352,7 +351,7 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
         if label.label != IN_E:
             raise RegionError(f"endpoint_integral: z={z} classifies {label.label}")
 
-    trace = _trace_to_inverse(1.0 + 0j, z, alpha, StopRule())
+    trace = _trace_to_inverse(1.0 + 0j, z, alpha)
     if trace.terminal != ENDPOINT_1:
         raise RegionError(f"endpoint_integral: descent from t=1 ends "
                           f"{trace.terminal}, not at 1/z")
@@ -380,31 +379,3 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
                             k_value=k_total, k_error=k_err,
                             junction_phase_gap=junction_gap,
                             path=trace.points)
-
-
-def moment_nth_roots(f, n_list, rel_tol: float = 1e-12) -> list[float]:
-    """``|int_0^1 f(s) s^(n-1) ds|^(1/n)`` for each n.
-
-    These magnitudes tend to 1 for any nonzero f analytic on a neighborhood
-    of [0, 1]; callers use the returned sequence to check that convergence.
-    """
-    out = []
-    for n in n_list:
-        if n < 1:
-            raise DomainError("moment_nth_roots: n must be >= 1")
-
-        def fn(s: float) -> complex:
-            return complex(f(s)) * s ** (n - 1)
-
-        # the mass concentrates in an O(1/n) layer below s = 1
-        split = max(0.0, 1.0 - 8.0 / n)
-        v1, e1 = _adaptive(fn, 0.0, split, 1e-16, max_panels=400)
-        v2, e2 = _adaptive(fn, split, 1.0, 1e-16, max_panels=400)
-        val = v1 + v2
-        if val == 0:
-            raise AccuracyError("moment integral evaluated to exact zero")
-        if (e1 + e2) > rel_tol * abs(val):
-            raise AccuracyError("moment integral tolerance not reached",
-                                achieved=(e1 + e2) / abs(val))
-        out.append(abs(val) ** (1.0 / n))
-    return out

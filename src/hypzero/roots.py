@@ -11,8 +11,6 @@ inclusion test of MPSolve (Carstensen 1991): with Weierstrass corrections
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -28,6 +26,7 @@ _JITTER_SEED = 0x5EED
 # bits of the w-basis solve beyond its estimated conditioning loss
 _SOLVE_MARGIN = 96
 _SLACK = 1e-6   # relative slack on the certificate's bounds, far above their rounding
+_MAX_SWEEPS = 120    # per Aberth pass
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,6 @@ class ZeroSet:
             "residuals": list(self.residuals),
             "iterations": self.iterations,
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["re", "im", "residual"])
-        for z, r in zip(self.zeros, self.residuals):
-            w.writerow([repr(z.real), repr(z.imag), repr(r)])
-        return buf.getvalue()
 
 
 def _initial_circle(coeffs: np.ndarray, seed: int) -> np.ndarray:
@@ -90,18 +81,19 @@ def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
 
 
 def _aberth(newton, z: np.ndarray, tol: float,
-            max_sweeps: int = 120) -> tuple[np.ndarray, int]:
+            stall: float) -> tuple[np.ndarray, int]:
     """Jacobi Aberth-Ehrlich sweeps on ``z``, complex or an object array of
     ``mpc``, where ``newton(z, idx)`` gives ``p/p'`` at ``z[idx]``.  The
     repulsion runs in double: it shapes the basins, not the fixed points.
     A root leaves the sweep once its relative update is below ``tol``; the
-    pass ends when none is left, after 25 sweeps in a row in which the
-    largest update did not halve, or after ``max_sweeps``.
+    pass ends when none is left, after ``stall`` sweeps in a row in which
+    the largest update did not halve (never, for ``math.inf``), or after
+    ``_MAX_SWEEPS``.
     """
     z = z.copy()
     active = np.arange(len(z))
     best, stale = math.inf, 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         zd = z.astype(complex)
         diff = zd[active, None] - zd
         diff[np.arange(len(active)), active] = np.inf
@@ -118,7 +110,7 @@ def _aberth(newton, z: np.ndarray, tol: float,
         if halved:
             best = moved.max()
         stale = 0 if halved else stale + 1
-        if stale >= 25:
+        if stale >= stall:
             break
         active = active[keep]
     return z, sweeps
@@ -240,15 +232,19 @@ def find_roots(p: Polynomial, residual_tol: float = 1e-10,
     if n == 0:
         raise DomainError("find_roots: degree-0 polynomial has no roots")
     radius, q, bits = _pfaff_basis(p)
+    # the double pass ends stalled at the rounding floor of q; the
+    # fixed-point pass goes on while the roots migrate, which from n ~ 130
+    # takes more than 25 sweeps without a halving of the largest update
     current, sweeps_double = _aberth(_double_newton(q), _initial_circle(q, seed),
-                                     2.0 ** -26)
+                                     2.0 ** -26, stall=25)
     diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
     for attempt in range(4):
         fixed = _scaled_fixed(p, radius, bits)
         with mp.workprec(bits):
             u = np.array([mp.mpc(v) for v in current], dtype=object)
             current, sweeps_mp = _aberth(_fixed_newton(fixed, bits), u,
-                                         2.0 ** (-_SOLVE_MARGIN // 2))
+                                         2.0 ** (-_SOLVE_MARGIN // 2),
+                                         stall=math.inf)
             zeros = [complex(radius * v / (radius * v - 1)) for v in current]
         diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
         diag["bits_solve"] = bits

@@ -31,7 +31,6 @@ class SaddleData:
 
     t0: complex
     phi_pp_mod: float
-    phi_pp_arg: float
     log_g_at_t0: BranchTrackedValue
 
 
@@ -45,7 +44,6 @@ def saddle_point(z: complex, alpha: Alpha) -> SaddleData:
     return SaddleData(
         t0=t0,
         phi_pp_mod=abs(pp),
-        phi_pp_arg=cmath.phase(pp),
         log_g_at_t0=phase(t0, z, alpha),
     )
 

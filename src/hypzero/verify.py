@@ -36,7 +36,6 @@ DEFAULT_TOLERANCES = {
     "residual": 1e-10,
     "corrector": 1e-9,
     "boundary": 1e-6,
-    "quadrature": 1e-10,
 }
 
 
@@ -79,9 +78,7 @@ class ExperimentConfig:
     alpha: Alpha
     n_list: tuple[int, ...]
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    out_dir: str | None = None
     formats: tuple[str, ...] = ("json",)
-    grid: GridSpec | None = None
     shift: float = 0.0          # l-offset for the real-parameter family
     samples_per_n: int = 3      # zeros receiving split-integral diagnostics
 
@@ -90,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list must be strictly increasing")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ConfigError("all tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.tolerances.values()):
+            raise ConfigError("all tolerances must be positive and finite")
         for f in self.formats:
             if f not in ("json", "csv", "svg"):
                 raise ConfigError(f"unknown output format {f!r}")
@@ -102,9 +99,6 @@ class ExperimentConfig:
             "n_list": list(self.n_list),
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
             "formats": list(self.formats),
-            "grid": None if self.grid is None else
-                [self.grid.re0, self.grid.re1, self.grid.im0, self.grid.im1,
-                 self.grid.steps],
             "shift": self.shift,
             "samples_per_n": self.samples_per_n,
         }
@@ -301,7 +295,6 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
 
 def run_realcase_crosscheck(k: float, l: float, n_list,
                             tolerances: dict | None = None,
-                            out_dir: str | None = None,
                             formats=("json",)) -> VerificationReport:
     """Clustering cross-check for the shifted real-parameter family."""
     if k <= 0:
@@ -311,7 +304,7 @@ def run_realcase_crosscheck(k: float, l: float, n_list,
     config = ExperimentConfig(
         alpha=Alpha(k, 0.0), n_list=tuple(n_list),
         tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-        out_dir=out_dir, formats=tuple(formats), shift=l)
+        formats=tuple(formats), shift=l)
     return run_theorem_check(config)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -6,11 +5,9 @@ import mpmath as mp
 import pytest
 
 from hypzero.errors import DomainError, HypzeroError
-from hypzero.hyperpoly import (Polynomial, coefficient_mass, coefficients,
-                               coefficients_exact, coefficients_mp,
-                               condition_scaled_residual, evaluate,
-                               evaluate_with_error, pfaff_coefficients_mp,
-                               real_family_coefficients)
+from hypzero.hyperpoly import (coefficients, coefficients_exact,
+                               coefficients_mp, evaluate,
+                               pfaff_coefficients_mp, real_family_coefficients)
 from hypzero.kernel import Alpha, Precision
 
 
@@ -94,21 +91,8 @@ def test_extended_evaluation_resolves_double_cancellation():
         want = complex(want)
     assert got == pytest.approx(want, rel=1e-12)
     assert abs(want) < 1e-14          # far below double resolution of the mass
-    assert coefficient_mass(p, z) > 1e4
-
-
-def test_evaluate_with_error_reports_conditioning():
-    p = coefficients(30, Alpha(1.0, 1.0))
-    _, rel_double = evaluate_with_error(p, 0.9 + 0.1j)
-    assert rel_double > 1.0           # double value is meaningless here
-    _, rel_ext = evaluate_with_error(p, 0.9 + 0.1j, Precision(bits=220))
-    assert rel_ext < 1e-20
-
-
-def test_condition_scaled_residual_at_root():
-    p = coefficients(2, Alpha(1.0))
-    root = 1.25 + 0.3227486121839514j
-    assert condition_scaled_residual(p, root) < 1e-15
+    mass = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+    assert mass * math.exp(p.scale) > 1e4
 
 
 def test_real_family_matches_main_family_at_zero_shift():
@@ -134,20 +118,6 @@ def test_validation_errors():
         real_family_coefficients(5, 0.0)
     with pytest.raises(DomainError):
         real_family_coefficients(5, 1.0, -2.0)
-
-
-def test_json_round_trip():
-    p = coefficients(7, Alpha(1.5, -0.5))
-    q = Polynomial.from_json(p.to_json())
-    assert q == p
-    d = json.loads(p.to_json())
-    assert set(d) == {"n", "alpha", "coeffs", "scale"}
-    assert d["n"] == 7
-
-    shifted = real_family_coefficients(4, 1.0, 3.0)
-    back = Polynomial.from_json(shifted.to_json())
-    assert back == shifted
-    assert json.loads(shifted.to_json())["b_offset"] == 4.0
 
 
 @pytest.mark.parametrize("n,alpha,b_offset", [(12, 1.0 + 1.0j, 1.0),

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath as mp
@@ -8,7 +7,7 @@ from hypzero.errors import DomainError, RegionError
 from hypzero.hyperpoly import coefficients, evaluate
 from hypzero.kernel import Alpha, Precision
 from hypzero.quadrature import (descent_integral, endpoint_integral,
-                                euler_integral, moment_nth_roots)
+                                euler_integral)
 from hypzero.roots import find_roots
 from hypzero.saddle import descent_integral_estimate, saddle_point
 
@@ -226,23 +225,3 @@ def test_split_cancels_at_computed_zero():
     assert total <= budget
     # at a zero the two pieces have equal magnitude
     assert i1.log_modulus == pytest.approx(i2.integral.log_modulus, abs=1e-8)
-
-
-def test_moment_roots_exact_monomials():
-    vals = moment_nth_roots(lambda s: 1.0, [4, 9])
-    assert vals[0] == pytest.approx((1.0 / 4.0) ** 0.25, rel=1e-12)
-    assert vals[1] == pytest.approx((1.0 / 9.0) ** (1.0 / 9.0), rel=1e-12)
-    vals = moment_nth_roots(lambda s: s, [5])
-    assert vals[0] == pytest.approx((1.0 / 6.0) ** 0.2, rel=1e-12)
-
-
-def test_moment_roots_oscillatory_tend_to_one():
-    vals = moment_nth_roots(lambda s: cmath.exp(1j * s), [10, 100, 1000])
-    with mp.workprec(120):
-        want = [complex(mp.quad(lambda s: mp.e ** (1j * s) * s ** (n - 1),
-                                [0, 1])) for n in (10, 100, 1000)]
-    for got, ref, n in zip(vals, want, (10, 100, 1000)):
-        assert got == pytest.approx(abs(ref) ** (1.0 / n), rel=1e-9)
-    assert abs(vals[2] - 1) < abs(vals[1] - 1) < abs(vals[0] - 1)
-    with pytest.raises(DomainError):
-        moment_nth_roots(lambda s: 1.0, [0])

@@ -28,10 +28,11 @@ def test_config_validation():
         ExperimentConfig(alpha=AI, n_list=(10, 10))
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=AI, n_list=(10, 5))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(alpha=AI, n_list=(5,),
-                         tolerances={"residual": -1.0, "corrector": 1e-9,
-                                     "boundary": 1e-6, "quadrature": 1e-10})
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(alpha=AI, n_list=(5,),
+                             tolerances={"residual": 1e-10, "corrector": 1e-9,
+                                         "boundary": bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=AI, n_list=(5,), formats=("pdf",))
 
@@ -61,6 +62,15 @@ def test_report_structure(small_report):
     d = rep.to_json_dict()
     assert d["schema"] == "hypzero/1"
     assert all(r["config_hash"] == rep.config_hash for r in d["records"])
+
+
+def test_report_config_block(small_report):
+    # the config block holds what a run reads, and nothing else
+    config = small_report.to_json_dict()["config"]
+    assert set(config) == {"alpha", "n_list", "tolerances", "formats",
+                           "shift", "samples_per_n"}
+    assert config["tolerances"] == {"boundary": 1e-6, "corrector": 1e-9,
+                                    "residual": 1e-10}
 
 
 def test_single_root_record():
@@ -192,6 +202,27 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--tol-boundary=nan"],
+    ["check", "--tol-residual=nan"],
+    ["realcase", "--tol-residual=0"],
+    ["region", "--tol-boundary=nan"],
+    ["region", "--tol-boundary=-1"],
+    ["region", "--tol-boundary=inf"],
+    ["curve", "--tol-boundary=-1e-6"],
+    ["asym", "--tol-residual=inf"]])
+def test_cli_rejects_a_tolerance_not_positive_and_finite(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--n", "5", "--out", str(out)]) == 2
+    assert "tol-" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(argv[1].lstrip("-").replace("=", " = ") + "\n")
+    assert main([argv[0], "--config", str(cfg), "--n", "5",
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 
