@@ -8,8 +8,8 @@ Subcommands:
 * ``curve``    -- emit the level curve only
 * ``asym``     -- table of descent-integral / leading-term ratios
 
-Options can also come from a flat ``key = value`` config file; precedence is
-command line > file > defaults.  Exit codes: 0 all checks passed, 1 checks
+Options can also come from a flat ``key = value`` config file whose keys are
+the subcommand's options; precedence is command line > file > defaults.  Exit codes: 0 all checks passed, 1 checks
 ran with failures, 2 configuration error.
 """
 
@@ -30,9 +30,6 @@ from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
                      emit, emit_report, region_map, render_region_svg,
                      render_svg, run_realcase_crosscheck, run_theorem_check)
 
-_OPTION_KEYS = ("alpha-re", "alpha-im", "n", "out", "format", "tol-residual",
-                "tol-boundary", "grid", "k", "l", "z")
-
 
 def _add_common(sub):
     sub.add_argument("--config", help="flat key = value config file")
@@ -44,11 +41,14 @@ def _add_common(sub):
                      help="comma list from json,csv,svg")
     sub.add_argument("--tol-residual", type=float, default=None)
     sub.add_argument("--tol-boundary", type=float, default=None)
-    sub.add_argument("--grid", default=None,
-                     help="re0:re1:im0:im1:steps")
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(args) -> None:
+    """Fill the options left unset on the command line from ``args.config``,
+    whose keys must be options of the subcommand."""
+    path = args.config
+    keys = {dest.replace("_", "-") for dest in vars(args)} - {
+        "command", "handler", "config"}
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -61,27 +61,26 @@ def _read_config_file(path: str) -> dict:
                         f"{path}:{line_no}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _OPTION_KEYS:
+                if key not in keys:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    return values
+    for key, val in values.items():
+        dest = key.replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, val)
 
 
 def _merged(args, key: str, cast=str, default=None):
-    cli_val = getattr(args, key.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val
-    if args.config:
-        file_vals = _read_config_file(args.config)
-        if key in file_vals:
-            raw = file_vals[key]
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ConfigError(f"{args.config}: bad {key} {raw!r}") from None
-    return default
+    value = getattr(args, key.replace("-", "_"))
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except ValueError:
+        # command-line values are cast by argparse already
+        raise ConfigError(f"{args.config}: bad {key} {value!r}") from None
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -109,13 +108,11 @@ def _common_settings(args):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"tol-{key} must be positive and finite, got {value!r}")
         tolerances[key] = value
-    grid_text = _merged(args, "grid", str, None)
-    grid = GridSpec.parse(grid_text) if grid_text else None
-    return alpha, out_dir, formats, tolerances, grid
+    return alpha, out_dir, formats, tolerances
 
 
 def _cmd_check(args) -> int:
-    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     config = ExperimentConfig(alpha=alpha, n_list=_parse_n_list(n_text),
                               tolerances=tolerances, formats=formats)
@@ -126,7 +123,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_realcase(args) -> int:
-    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances = _common_settings(args)
     k = float(_merged(args, "k", float, alpha.eta))
     l = float(_merged(args, "l", float, 0.0))
     n_text = _merged(args, "n", str, "10,20,50")
@@ -138,9 +135,10 @@ def _cmd_realcase(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    alpha, out_dir, formats, tolerances, grid = _common_settings(args)
-    if grid is None:
-        grid = GridSpec(-1.0, 2.0, -1.5, 1.5, 20)
+    alpha, out_dir, formats, tolerances = _common_settings(args)
+    grid_text = _merged(args, "grid")
+    grid = GridSpec.parse(grid_text) if grid_text else GridSpec(
+        -1.0, 2.0, -1.5, 1.5, 20)
     rows = region_map(alpha, grid, boundary_tol=tolerances["boundary"])
     bad = sum(1 for r in rows if r["label"].startswith("Error"))
     emit(out_dir, formats, {
@@ -156,7 +154,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    alpha, out_dir, formats, tolerances, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances = _common_settings(args)
     curve = trace_level_curve(alpha, boundary_tol=tolerances["boundary"])
     emit(out_dir, formats, {
         "json": lambda: [("curve.json", document(
@@ -187,7 +185,7 @@ def _parse_points(text: str) -> list[complex]:
 
 
 def _cmd_asym(args) -> int:
-    alpha, out_dir, formats, _, _ = _common_settings(args)
+    alpha, out_dir, formats, _ = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     z_text = _merged(args, "z", str, "1.2,0.3")
     points = _parse_points(z_text)
@@ -229,6 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                      ("asym", _cmd_asym)):
         sub = subs.add_parser(name)
         _add_common(sub)
+        if name == "region":
+            sub.add_argument("--grid", default=None,
+                             help="re0:re1:im0:im1:steps")
         if name == "realcase":
             sub.add_argument("--k", type=float, default=None)
             sub.add_argument("--l", type=float, default=None)
@@ -243,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _read_config_file(args)
         return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -159,7 +159,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
         return sign * d.conjugate() / ad
 
     br = phase(start, z, alpha, branch=initial_branch)
-    target_im = br.imag_phase
+    target_im = br.value.imag
     points = [start]
     phases = [br]
     t = start
@@ -196,7 +196,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
         br_new = br
         for _ in range(8):
             br_new = phase(t_new, z, alpha, branch=br)
-            err = br_new.imag_phase - target_im
+            err = br_new.value.imag - target_im
             # rounding floor: the phase is O(log|t|) near the branch points,
             # and forming 1 - z*t loses digits to cancellation near t = 1/z
             u = 1.0 - z * t_new
@@ -231,7 +231,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
         br = br_new
         points.append(t)
         phases.append(br)
-        drift = max(drift, abs(br.imag_phase - target_im))
+        drift = max(drift, abs(br.value.imag - target_im))
         min_saddle = min(min_saddle, abs(t - t_saddle))
 
         if abs(t) <= end_radius:

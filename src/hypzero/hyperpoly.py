@@ -10,8 +10,8 @@ the ``b`` offset.  The same closed form with ``b = k*n + l + 1`` produces
 the shifted real-parameter family used for cross-checks.
 
 Raw coefficient magnitudes reach ``C(n, n/2)`` (about 1e17 at n = 60), so a
-polynomial stores mantissa coefficients together with one shared log-scale
-factor; the true coefficient is ``coeffs[k] * exp(scale)``.
+polynomial is stored as its parameters only; each consumer derives the
+coefficients it needs, at the width it needs, from ``n`` and ``b``.
 """
 
 from __future__ import annotations
@@ -28,49 +28,21 @@ from .kernel import Alpha, DOUBLE, Precision
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Scaled monomial-basis polynomial with constant term 1.
-
-    ``coeffs[k] * exp(scale)`` is the coefficient of ``z**k``; the stored
-    mantissas are balanced so the largest has magnitude 1.
-    """
+    """The family member of degree ``degree`` with ``b = alpha*n + b_offset``;
+    its constant term is 1 (:func:`coefficients_mp`)."""
 
     degree: int
-    coeffs: tuple[complex, ...]
-    scale: float
     alpha: Alpha
-    b_offset: float = 1.0   # constant term of b = alpha*n + b_offset
+    b_offset: float = 1.0
 
     def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise DomainError("coefficient count must be degree + 1")
-        if self.coeffs[-1] == 0:
-            raise DomainError("leading coefficient must be nonzero")
-
-
-def _closed_form(n: int, b: complex) -> list[complex]:
-    # exact integer binomials stay inside double range up to n = 1029
-    try:
-        return [(-1) ** k * float(math.comb(n, k)) * (b / (b + k))
-                for k in range(n + 1)]
-    except OverflowError:
-        raise DomainError(f"degree {n}: binomial coefficients exceed the "
-                          "double range (n <= 1029)") from None
-
-
-def _balance(raw: list[complex]) -> tuple[tuple[complex, ...], float]:
-    top = max(abs(c) for c in raw)
-    scale = math.log(top) if top > 0 else 0.0
-    inv = math.exp(-scale)
-    return tuple(c * inv for c in raw), scale
+        if self.degree < 0:
+            raise DomainError("degree must be nonnegative")
 
 
 def coefficients(n: int, alpha: Alpha) -> Polynomial:
     """Degree-n polynomial of the main family (b = alpha*n + 1)."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    raw = _closed_form(n, complex(alpha.value * n + 1.0))
-    coeffs, scale = _balance(raw)
-    return Polynomial(degree=n, coeffs=coeffs, scale=scale, alpha=alpha)
+    return Polynomial(degree=n, alpha=alpha)
 
 
 def real_family_coefficients(n: int, k: float, l: float = 0.0) -> Polynomial:
@@ -79,10 +51,7 @@ def real_family_coefficients(n: int, k: float, l: float = 0.0) -> Polynomial:
         raise DomainError("k must be positive")
     if l < 0:
         raise DomainError("l must be nonnegative")
-    raw = _closed_form(n, complex(k * n + l + 1.0))
-    coeffs, scale = _balance(raw)
-    return Polynomial(degree=n, coeffs=coeffs, scale=scale, alpha=Alpha(k, 0.0),
-                      b_offset=l + 1.0)
+    return Polynomial(degree=n, alpha=Alpha(k, 0.0), b_offset=l + 1.0)
 
 
 def coefficients_exact(n: int, alpha: Fraction) -> list[Fraction]:
@@ -96,7 +65,7 @@ def coefficients_exact(n: int, alpha: Fraction) -> list[Fraction]:
 
 
 def coefficients_mp(n: int, alpha_value: complex, b_offset: float = 1.0):
-    """Unscaled coefficients as exact-input mpmath numbers at working precision.
+    """Coefficients as exact-input mpmath numbers at working precision.
 
     ``b_offset`` generalizes to the shifted family (b = alpha*n + b_offset).
     Callers are expected to have set ``mp.mp.prec`` already.
@@ -124,21 +93,12 @@ def pfaff_coefficients_mp(n: int, alpha_value: complex, b_offset: float = 1.0):
 
 
 def evaluate(p: Polynomial, z: complex, precision: Precision = DOUBLE) -> complex:
-    """Horner evaluation of ``p`` at ``z`` including the scale factor.
-
-    The extended mode rebuilds the coefficients from (n, alpha) at working
-    precision instead of reusing the double-rounded stored mantissas, so it
-    resolves values far below the double cancellation floor.
-    """
-    if precision.is_double:
-        acc = 0j
-        for c in reversed(p.coeffs):
-            acc = acc * z + c
-        return acc * math.exp(p.scale)
+    """Horner evaluation of ``p`` at ``z`` on coefficients rebuilt from
+    (n, b) at ``precision.bits``, so a wide precision resolves values far
+    below the double cancellation floor."""
     with mp.workprec(precision.bits):
-        raw = coefficients_mp(p.degree, p.alpha.value, p.b_offset)
         zm = mp.mpc(z)
         acc = mp.mpc(0)
-        for c in reversed(raw):
+        for c in reversed(coefficients_mp(p.degree, p.alpha.value, p.b_offset)):
             acc = acc * zm + c
         return complex(acc)

@@ -67,17 +67,15 @@ class Alpha:
 class BranchTrackedValue:
     """A phase-continued value of a (sum of) logarithm(s).
 
-    ``value`` is the continued complex value and ``imag_phase`` its
-    continuously tracked imaginary part (``== value.imag``; kept as an
-    explicit field because it is the quantity whose continuity defines the
-    branch).  ``parts`` stores the continued values of the constituent
-    logarithms; it is the state needed to continue a two-logarithm phase
-    whose first term carries a complex coefficient, where correcting the
-    total by multiples of ``2*pi*i`` alone would be ambiguous.
+    ``value`` is the continued complex value; the continuity of its
+    imaginary part defines the branch.  ``parts`` stores the continued
+    values of the constituent logarithms; it is the state needed to
+    continue a two-logarithm phase whose first term carries a complex
+    coefficient, where correcting the total by multiples of ``2*pi*i``
+    alone would be ambiguous.
     """
 
     value: complex
-    imag_phase: float
     parts: tuple[complex, ...] = field(default=())
 
 
@@ -124,7 +122,7 @@ def phase(t: complex, z: complex, alpha: Alpha,
     log_t = continued_log(t, prev_log_t)
     log_u = continued_log(u, prev_log_u)
     val = alpha.value * log_t + log_u
-    return BranchTrackedValue(value=val, imag_phase=val.imag, parts=(log_t, log_u))
+    return BranchTrackedValue(value=val, parts=(log_t, log_u))
 
 
 def phase_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
@@ -150,8 +148,7 @@ def phase_second_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
 class Precision:
     """Working precision of :func:`hyperpoly.evaluate`.
 
-    ``bits`` is the mantissa width.  Coefficient evaluation runs in plain
-    double at 53 and in mpmath with that many bits above it.
+    ``bits`` is the mantissa width of the mpmath evaluation; 53 is double.
     """
 
     bits: int = 53
@@ -159,10 +156,6 @@ class Precision:
     def __post_init__(self):
         if self.bits < 24:
             raise DomainError(f"precision below 24 bits is not supported: {self.bits}")
-
-    @property
-    def is_double(self) -> bool:
-        return self.bits <= 53
 
 
 DOUBLE = Precision()

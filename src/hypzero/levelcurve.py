@@ -226,6 +226,21 @@ def _min_dist_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarra
     return np.array([d for d, _, _ in _project(points, vertices)])
 
 
+def _admissible(points, curve: LevelCurve, caller: str):
+    """The points as an array and the admissible-region arcs on the
+    principal sheet: an arc inside the region can never reach the negative
+    real axis (the left half-plane lies outside it), so arcs that continued
+    across the cut are off-sheet artifacts even when individual far-out
+    samples of them classify as admissible."""
+    arcs = [a for a in curve.arcs if a.region == "InE" and not a.crossed_cut]
+    if not arcs:
+        raise SelectionError(f"{caller}: no admissible arcs")
+    pts = np.asarray(list(points), dtype=complex)
+    if pts.size == 0:
+        raise SelectionError(f"{caller}: no points")
+    return pts, arcs
+
+
 def coverage_gap(points, curve: LevelCurve) -> float:
     """Largest fraction of the admissible arcs left unvisited by ``points``.
 
@@ -234,12 +249,7 @@ def coverage_gap(points, curve: LevelCurve) -> float:
     matches (closed arcs wrap around), normalized by total arc length.
     Clustering that fills the whole arc drives this to zero.
     """
-    arcs = [a for a in curve.arcs if a.region == "InE" and not a.crossed_cut]
-    if not arcs:
-        raise SelectionError("coverage_gap: no admissible arcs")
-    pts = np.asarray(list(points), dtype=complex)
-    if pts.size == 0:
-        raise SelectionError("coverage_gap: no points")
+    pts, arcs = _admissible(points, curve, "coverage_gap")
     worst = 0.0
     for arc in arcs:
         verts = np.asarray(arc.points, dtype=complex)
@@ -259,23 +269,9 @@ def coverage_gap(points, curve: LevelCurve) -> float:
     return float(worst)
 
 
-def distance_to_curve(points, curve: LevelCurve,
-                      restrict_to_E: bool = True):
-    """Per-point distance to the selected arcs plus (max, mean) aggregates.
-
-    With ``restrict_to_E`` the selection keeps admissible-region arcs on the
-    principal sheet only: an arc inside the region can never reach the
-    negative real axis (the left half-plane lies outside it), so arcs that
-    continued across the cut are excluded as off-sheet artifacts even when
-    individual far-out samples of them classify as admissible.
-    """
-    arcs = [a for a in curve.arcs
-            if (a.region == "InE" and not a.crossed_cut) or not restrict_to_E]
-    if not arcs:
-        raise SelectionError("distance_to_curve: no arcs match the selection")
-    pts = np.asarray(list(points), dtype=complex)
-    if pts.size == 0:
-        raise SelectionError("distance_to_curve: no query points")
+def distance_to_curve(points, curve: LevelCurve):
+    """Per-point distance to the admissible arcs, with its max and mean."""
+    pts, arcs = _admissible(points, curve, "distance_to_curve")
     dists = np.full(len(pts), np.inf)
     for arc in arcs:
         arr = np.asarray(arc.points, dtype=complex)

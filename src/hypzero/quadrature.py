@@ -358,7 +358,7 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
 
     junction_gap = None
     if junction_branch is not None:
-        junction_gap = abs(trace.phases[-1].imag_phase - junction_branch.imag_phase)
+        junction_gap = abs(trace.phases[-1].value.imag - junction_branch.value.imag)
 
     # the trace runs 1 -> 1/z; |g(1)|^n is the contour maximum
     g1 = 1.0 - z

@@ -149,7 +149,11 @@ def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
     k = np.arange(n)
     ratio = (k - n) / (p.alpha.value * n + p.b_offset + 1 + k)
     radius = math.exp(-float(np.mean(np.log(np.abs(ratio)))))
-    q = np.cumprod(np.concatenate(([1 + 0j], radius * ratio)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.cumprod(np.concatenate(([1 + 0j], radius * ratio)))
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"find_roots: at degree {n} the w-basis "
+                          "coefficients leave the double range")
     peak = np.max(np.log2(np.abs(q)) + np.arange(n + 1) * math.log2(1.5))
     return radius, q, int(peak) + _SOLVE_MARGIN
 
@@ -207,11 +211,15 @@ def _inclusion_disks(p: Polynomial, radius: float, f: int, fixed, u):
 def _residual_bounds(p: Polynomial, zeros, radii) -> np.ndarray:
     """``|p(z)| / sum |c_k| |z|^k`` bounded through the zero within ``rho``
     of ``z`` by ``rho sum k |c_k| (|z| + rho)^(k-1)``: positive terms, so
-    summed in log scale on the double coefficients."""
-    k = np.arange(p.degree + 1)
+    summed in log scale, with ``log |c_k|`` from the ratio
+    ``c_{k+1}/c_k = (k-n)/(k+1) (b+k)/(b+k+1)`` and ``c_0 = 1``."""
+    n = p.degree
+    k = np.arange(n + 1)
+    bk = np.abs(p.alpha.value * n + p.b_offset + k)
+    ratio = (n - k[:-1]) / k[1:] * bk[:-1] / bk[1:]
     az, rho = np.abs(np.asarray(zeros))[:, None], radii[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lc = np.log(np.abs(np.asarray(p.coeffs)))
+        lc = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
         num = np.log(k[1:]) + lc[1:] + (k[1:] - 1) * np.log(az + rho)
         den = lc + k * np.log(az)
         top = den.max(axis=1, keepdims=True)
@@ -227,6 +235,8 @@ def find_roots(p: Polynomial, residual_tol: float = 1e-10,
     with radii of at most ``0.2/n``, the zeros ``1e-3/n`` apart and the
     residual bounds at most ``residual_tol``; else the solve goes on at
     doubled bits, up to three times.  Deterministic for a given input.
+    Raises :class:`DomainError` where q or the double pass leaves the
+    double range (from n = 803 for ``alpha = 1``).
     """
     n = p.degree
     if n == 0:
@@ -235,8 +245,12 @@ def find_roots(p: Polynomial, residual_tol: float = 1e-10,
     # the double pass ends stalled at the rounding floor of q; the
     # fixed-point pass goes on while the roots migrate, which from n ~ 130
     # takes more than 25 sweeps without a halving of the largest update
-    current, sweeps_double = _aberth(_double_newton(q), _initial_circle(q, seed),
-                                     2.0 ** -26, stall=25)
+    with np.errstate(all="ignore"):
+        current, sweeps_double = _aberth(_double_newton(q), _initial_circle(q, seed),
+                                         2.0 ** -26, stall=25)
+    if not np.all(np.isfinite(current)):
+        raise DomainError(f"find_roots: at degree {n} the double Aberth pass "
+                          "leaves the double range")
     diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
     for attempt in range(4):
         fixed = _scaled_fixed(p, radius, bits)

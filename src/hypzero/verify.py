@@ -246,8 +246,7 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
         try:
             p = _build_polynomial(n, config)
             zeros = find_roots(p, residual_tol=config.tolerances["residual"])
-            dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve,
-                                                     restrict_to_E=True)
+            dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve)
             distances = tuple(float(d) for d in dists)
             cov = coverage_gap(zeros.zeros, curve)
             lab_list = []

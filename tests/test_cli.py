@@ -27,7 +27,9 @@ def _argv(draw):
         ["check", "realcase", "region", "curve", "asym"]))
     argv = [command]
     options = {"--alpha-re": _NUMBER, "--alpha-im": _NUMBER, "--n": _DEGREES,
-               "--grid": _GRID, "--format": _FORMATS}
+               "--format": _FORMATS}
+    if command == "region":
+        options["--grid"] = _GRID
     if command == "realcase":
         options.update({"--k": _NUMBER, "--l": _NUMBER})
     if command == "asym":

@@ -114,7 +114,7 @@ def test_distance_self_points():
     lc = trace_level_curve(A1)
     arc = [a for a in lc.arcs if a.region == "InE"][0]
     sample = list(arc.points[:: max(1, len(arc.points) // 37)])
-    d, mx, mean = distance_to_curve(sample, lc, restrict_to_E=True)
+    d, mx, mean = distance_to_curve(sample, lc)
     assert mx <= 1e-3 * abs(lc.crossing_point)
 
 
@@ -123,7 +123,7 @@ def test_distance_matches_bruteforce_vertex_oracle():
     arcs = [a for a in lc.arcs if a.region == "InE" and not a.crossed_cut]
     verts = np.concatenate([np.asarray(a.points, dtype=complex) for a in arcs])
     pts = [3.0 + 2.0j, 0.2 - 1.5j, 1.0 + 0.05j]
-    d, _, _ = distance_to_curve(pts, lc, restrict_to_E=True)
+    d, _, _ = distance_to_curve(pts, lc)
     for i, p in enumerate(pts):
         brute = np.min(np.abs(verts - p))
         assert d[i] <= brute + 1e-12
@@ -137,9 +137,9 @@ def test_distance_empty_selection_raises():
                                        if a.region != "InE"),
                             crossing_point=lc.crossing_point)
     with pytest.raises(SelectionError):
-        distance_to_curve([1.0 + 1.0j], only_outer, restrict_to_E=True)
+        distance_to_curve([1.0 + 1.0j], only_outer)
     with pytest.raises(SelectionError):
-        distance_to_curve([], lc, restrict_to_E=True)
+        distance_to_curve([], lc)
 
 
 def test_coverage_gap_fills_with_degree():

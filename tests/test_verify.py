@@ -242,10 +242,12 @@ def test_cli_rejects_nonpositive_degrees(tmp_path):
 
 
 def test_cli_degree_beyond_double_range_fails_cleanly(tmp_path, capsys):
-    out = str(tmp_path / "big")
-    code = main(["check", "--n", "1100", "--out", out, "--format", "json"])
-    assert code in (1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    for n in (1000, 1100):
+        out = str(tmp_path / f"big{n}")
+        code = main(["check", "--n", str(n), "--out", out, "--format", "json"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert f"degree {n}" in (tmp_path / f"big{n}" / "report.json").read_text()
 
 
 def test_cli_curve_and_region(tmp_path):
@@ -301,7 +303,8 @@ def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
     ("curve", "csv"), ("curve", "pdf"), ("asym", "svg")])
 def test_cli_rejects_formats_it_cannot_write(tmp_path, command, fmt):
     out = tmp_path / "o8"
-    assert main([command, "--n", "4", "--grid", "0.5:1.5:-0.5:0.5:2",
+    grid = ["--grid", "0.5:1.5:-0.5:0.5:2"] if command == "region" else []
+    assert main([command, "--n", "4", *grid,
                  "--out", str(out), "--format", f"json,{fmt}"]) == 2
     assert not out.exists()
 
@@ -324,6 +327,22 @@ def test_cli_config_file_precedence(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("flux = 9\n")
     assert main(["check", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("check", "grid", "0:1:0:1:2"), ("check", "k", "3"), ("check", "z", "1,2"),
+    ("curve", "grid", "0:1:0:1:2"), ("realcase", "z", "1,2")])
+def test_cli_rejects_an_option_the_subcommand_lacks(tmp_path, command, key, value):
+    # only region reads a grid, only realcase k and l, only asym z
+    out = tmp_path / "o9"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg), "--n", "4",
+                 "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_realcase_cli(tmp_path):
