@@ -21,26 +21,14 @@ import math
 import sys
 
 from . import quadrature
-from .errors import ConfigError, HypzeroError
-from .flows import separatrices
+from .errors import ConfigError, HypzeroError, RegionError
+from .flows import IN_E, classify_region, separatrices
 from .kernel import Alpha
 from .levelcurve import trace_level_curve
 from .saddle import descent_integral_estimate
 from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
                      emit, emit_report, region_map, render_region_svg,
                      render_svg, run_realcase_crosscheck, run_theorem_check)
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--alpha-re", type=float, default=None)
-    sub.add_argument("--alpha-im", type=float, default=None)
-    sub.add_argument("--n", default=None, help="comma-separated degree list")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", default=None,
-                     help="comma list from json,csv,svg")
-    sub.add_argument("--tol-residual", type=float, default=None)
-    sub.add_argument("--tol-boundary", type=float, default=None)
 
 
 def _read_config_file(args) -> None:
@@ -73,7 +61,8 @@ def _read_config_file(args) -> None:
 
 
 def _merged(args, key: str, cast=str, default=None):
-    value = getattr(args, key.replace("-", "_"))
+    # an option the subcommand lacks reads as unset
+    value = getattr(args, key.replace("-", "_"), None)
     if value is None:
         return default
     try:
@@ -185,18 +174,30 @@ def _parse_points(text: str) -> list[complex]:
 
 
 def _cmd_asym(args) -> int:
-    alpha, out_dir, formats, _ = _common_settings(args)
+    alpha, out_dir, formats, tolerances = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     z_text = _merged(args, "z", str, "1.2,0.3")
     points = _parse_points(z_text)
     n_list = _parse_n_list(n_text)
     rows = []
     for z in points:
+        # one classification per point; a refusal fills each of its rows
+        refusal = None
+        try:
+            label = classify_region(z, alpha,
+                                    boundary_tol=tolerances["boundary"]).label
+            if label != IN_E:
+                refusal = RegionError(f"descent_integral: z={z} classifies {label}")
+        except HypzeroError as exc:
+            refusal = exc
         for n in n_list:
             row = {"z": [z.real, z.imag], "n": n}
             try:
+                if refusal is not None:
+                    raise refusal
                 i1 = quadrature.descent_integral(
-                    n, alpha, z, epsilon=1e-4 * (1.0 + abs(1.0 / z)))
+                    n, alpha, z, epsilon=1e-4 * (1.0 + abs(1.0 / z)),
+                    check_region=False)
                 est = descent_integral_estimate(n, z, alpha)
                 k = quadrature.endpoint_integral(n, alpha, z,
                                                  check_region=False).k_value
@@ -216,26 +217,41 @@ def _cmd_asym(args) -> int:
     return 0 if all("error" not in r for r in rows) else 1
 
 
+# each subcommand's options, and the arguments of each option
+_OPTIONS = {
+    "config": dict(help="flat key = value config file"),
+    "alpha-re": dict(type=float),
+    "alpha-im": dict(type=float),
+    "n": dict(help="comma-separated degree list"),
+    "out": dict(help="output directory"),
+    "format": dict(help="comma list from json,csv,svg"),
+    "tol-residual": dict(type=float),
+    "tol-boundary": dict(type=float),
+    "grid": dict(help="re0:re1:im0:im1:steps"),
+    "k": dict(type=float),
+    "l": dict(type=float),
+    "z": dict(help="semicolon list of re,im samples"),
+}
+_COMMON = ("config", "alpha-re", "alpha-im", "out", "format")
+_COMMANDS = {
+    "check": (_cmd_check, ("n", "tol-residual", "tol-boundary")),
+    "realcase": (_cmd_realcase, ("n", "tol-residual", "tol-boundary", "k", "l")),
+    "region": (_cmd_region, ("tol-boundary", "grid")),
+    "curve": (_cmd_curve, ("tol-boundary",)),
+    "asym": (_cmd_asym, ("n", "tol-boundary", "z")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypzero",
         description="Numerical checks for zero clustering of a terminating "
                     "hypergeometric family")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("check", _cmd_check), ("realcase", _cmd_realcase),
-                     ("region", _cmd_region), ("curve", _cmd_curve),
-                     ("asym", _cmd_asym)):
+    for name, (fn, options) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "region":
-            sub.add_argument("--grid", default=None,
-                             help="re0:re1:im0:im1:steps")
-        if name == "realcase":
-            sub.add_argument("--k", type=float, default=None)
-            sub.add_argument("--l", type=float, default=None)
-        if name == "asym":
-            sub.add_argument("--z", default=None,
-                             help="semicolon list of re,im samples")
+        for option in (*_COMMON, *options):
+            sub.add_argument(f"--{option}", default=None, **_OPTIONS[option])
         sub.set_defaults(handler=fn)
     return parser
 

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, SingularPointError
+import numpy as np
+
+from .errors import DomainError, SingularPointError, TracingError
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +125,27 @@ def phase(t: complex, z: complex, alpha: Alpha,
     log_u = continued_log(u, prev_log_u)
     val = alpha.value * log_t + log_u
     return BranchTrackedValue(value=val, parts=(log_t, log_u))
+
+
+def phase_parts(t: np.ndarray, z: complex, log_t0, log_u0) -> list[np.ndarray]:
+    """Continued ``log(t)`` and ``log(1 - z*t)`` over an array of points, each on
+    the branch nearest the anchor parts ``log_t0``, ``log_u0`` broadcast to it
+    (:func:`continued_log`'s rule); a point over a quarter turn around 0 or 1/z
+    from its anchor, which step control rules out, raises :class:`TracingError`."""
+    # 1 - z*t with the roundings of the scalar product (numpy fuses them)
+    u_re = 1.0 - (z.real * t.real - z.imag * t.imag)
+    u_im = 0.0 - (z.real * t.imag + z.imag * t.real)
+    logs = []
+    for re, im, prev in ((t.real, t.imag, log_t0), (u_re, u_im, log_u0)):
+        modulus = np.hypot(re, im)
+        if not np.all(modulus > 0):
+            raise SingularPointError("phase_parts: a point is a branch point 0 or 1/z")
+        arg = np.arctan2(im, re)
+        arg += TWO_PI * np.round((prev.imag - arg) / TWO_PI)
+        if np.any(np.abs(arg - prev.imag) > 0.5 * math.pi):
+            raise TracingError("phase_parts: a point turned over a quarter turn")
+        logs.append(np.log(modulus) + 1j * arg)
+    return logs
 
 
 def phase_derivative(t: complex, z: complex, alpha: Alpha) -> complex:

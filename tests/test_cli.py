@@ -26,8 +26,10 @@ def _argv(draw):
     command = draw(st.sampled_from(
         ["check", "realcase", "region", "curve", "asym"]))
     argv = [command]
-    options = {"--alpha-re": _NUMBER, "--alpha-im": _NUMBER, "--n": _DEGREES,
+    options = {"--alpha-re": _NUMBER, "--alpha-im": _NUMBER,
                "--format": _FORMATS}
+    if command not in ("region", "curve"):
+        options["--n"] = _DEGREES
     if command == "region":
         options["--grid"] = _GRID
     if command == "realcase":
@@ -50,6 +52,7 @@ _CONFIG = st.lists(st.tuples(
 @given(_argv(), _CONFIG)
 @example(["check", "--alpha-re=inf", "--n=5"], [])
 @example(["asym", "--z=nan,0"], [])
+@example(["asym", "--z=0,0", "--n=3"], [])
 @example(["check", "--alpha-re=2.2250738585072014e-308"], [])
 @example(["check", "--alpha-re=1e-12", "--n=3"], [])
 @example(["check", "--alpha-re=1e-30", "--n=3"], [])

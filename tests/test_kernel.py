@@ -1,14 +1,18 @@
 import cmath
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypzero.errors import DomainError, SingularPointError
+from hypzero.errors import DomainError, SingularPointError, TracingError
+from hypzero.flows import DESCENT, saddle_directions, trace_flow
 from hypzero.kernel import (Alpha, Precision, continued_log, phase,
-                            phase_derivative, phase_second_derivative,
-                            principal_log)
+                            phase_derivative, phase_parts,
+                            phase_second_derivative, principal_log)
+from hypzero.saddle import saddle_point
 
 
 def test_principal_log_basics():
@@ -166,3 +170,67 @@ def test_phase_continuation_around_origin():
 def test_precision_below_24_bits_rejected():
     with pytest.raises(DomainError):
         Precision(bits=8)
+
+
+@functools.cache
+def _traced_paths():
+    # the paths the split integrals run along: both descent legs from the
+    # saddle, and the descent path from t = 1
+    paths = []
+    for a, z in ((Alpha(1.0), 1.2 + 0.3j), (Alpha(1.0, 1.0), 1.2 + 0.3j),
+                 (Alpha(2.0, -1.0), 1.2 - 0.3j)):
+        sd = saddle_point(z, a)
+        rho = 1e-6 * min(abs(sd.t0), abs(1.0 / z - sd.t0))
+        starts = [(sd.t0 + rho * d, sd.log_g_at_t0)
+                  for d in saddle_directions(z, a).descent]
+        for start, branch in (*starts, (1.0 + 0j, None)):
+            paths.append((a, z, trace_flow(start, z, a, DESCENT,
+                                           initial_branch=branch)))
+    return paths
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_phase_parts_match_the_scalar_phase_on_traced_chords(data):
+    a, z, trace = data.draw(st.sampled_from(_traced_paths()))
+    i = data.draw(st.integers(0, len(trace.points) - 2))
+    j = min(i + data.draw(st.integers(1, 2)), len(trace.points) - 1)
+    s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                    max_size=15)))
+    t = trace.points[i] + s * (trace.points[j] - trace.points[i])
+    anchor = trace.phases[i]
+    log_t, log_u = phase_parts(t, z, *anchor.parts)
+    for k, tk in enumerate(t):
+        ref = phase(complex(tk), z, a, branch=anchor)
+        assert abs(a.value * log_t[k] + log_u[k] - ref.value) <= (
+            1e-14 * abs(ref.value))
+        # each logarithm on the scalar continuation's branch
+        for got, want in zip((log_t[k], log_u[k]), ref.parts):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("center", [0.0, 1.0])
+def test_phase_parts_refuse_a_chord_past_a_quarter_turn(center):
+    # z = 1 puts the branch points at 0 and 1; each chord runs from
+    # center + 1/2 to the point a given turn around the center
+    a = Alpha(1.0, 1.0)
+    anchor = phase(center + 0.5, 1.0, a)
+    s = np.linspace(0.0, 1.0, 15)
+
+    def chord(turn):
+        return center + 0.5 + s * 0.5 * (cmath.exp(1j * turn) - 1.0)
+
+    log_t, log_u = phase_parts(chord(0.45 * math.pi), 1.0, *anchor.parts)
+    ref = phase(complex(chord(0.45 * math.pi)[-1]), 1.0, a, branch=anchor)
+    assert a.value * log_t[-1] + log_u[-1] == pytest.approx(ref.value,
+                                                            rel=1e-14)
+    with pytest.raises(TracingError):
+        phase_parts(chord(0.55 * math.pi), 1.0, *anchor.parts)
+
+
+def test_phase_parts_reject_a_node_on_a_branch_point():
+    anchor = phase(0.25, 2.0, Alpha(1.0))
+    with pytest.raises(SingularPointError):
+        phase_parts(np.array([0.25, 0.0]), 2.0, *anchor.parts)
+    with pytest.raises(SingularPointError):
+        phase_parts(np.array([0.25, 0.5]), 2.0, *anchor.parts)   # t = 1/z

@@ -225,3 +225,41 @@ def test_split_cancels_at_computed_zero():
     assert total <= budget
     # at a zero the two pieces have equal magnitude
     assert i1.log_modulus == pytest.approx(i2.integral.log_modulus, abs=1e-8)
+
+
+# the geometry benchmark's integrals, as the rule evaluating one node at a
+# time gave them: (alpha, z, n, descent and endpoint (log|I|, arg I))
+_PINNED = [
+    ((1.0, 0.0), 1.2 + 0.3j, 10, (-17.510286297049774, -2.6947652943955056),
+     (-14.008969988497684, -20.99499050162737)),
+    ((1.0, 0.0), 1.2 + 0.3j, 40, (-66.1442825866404, 2.522245426157743),
+     (-45.95037757682079, -85.77017950132897)),
+    ((1.0, 0.0), 1.2 + 0.3j, 160, (-258.7018585030921, -1.7424529203476073),
+     (-169.73778629848334, -344.8289530319751)),
+    ((1.0, 1.0), 1.2 + 0.3j, 10, (-17.03172128689691, 1.4587989559192207),
+     (-13.894224977049497, -21.18823294027461)),
+    ((1.0, 1.0), 1.2 + 0.3j, 40, (-64.27040089537091, 1.1326735621578152),
+     (-45.836230133179185, -85.9861569321346)),
+    ((1.0, 1.0), 1.2 + 0.3j, 160, (-251.23021160285987, -0.12544928806823424),
+     (-169.6243206617485, -345.05086559562125)),
+    ((2.0, -1.0), 1.2 - 0.3j, 10, (-23.45626778960668, -1.2082529015397894),
+     (-14.094737932261133, 21.27341760192013)),
+    ((2.0, -1.0), 1.2 - 0.3j, 40, (-89.13293203085395, -0.003940336911050508),
+     (-46.055170825004694, 86.06305682975255)),
+    ((2.0, -1.0), 1.2 - 0.3j, 160, (-349.81729873690324, -1.4945829498829675),
+     (-169.84764667518868, 345.12521145496925)),
+]
+
+
+@pytest.mark.parametrize("alpha, z, n, descent, endpoint", _PINNED)
+def test_split_integrals_keep_their_pinned_values(alpha, z, n, descent,
+                                                  endpoint):
+    a = Alpha(*alpha)
+    got = (descent_integral(n, a, z, epsilon=1e-4 * (1.0 + abs(1.0 / z)),
+                            check_region=False),
+           endpoint_integral(n, a, z, check_region=False).integral)
+    for ci, (log_mod, arg) in zip(got, (descent, endpoint)):
+        # relative error of the value exp(log_mod + i arg), to first order
+        rel = complex(ci.log_modulus - log_mod,
+                      math.remainder(ci.phase - arg, 2.0 * math.pi))
+        assert abs(rel) <= 1e-12, (n, alpha, z)

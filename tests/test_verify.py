@@ -5,8 +5,11 @@ import re
 
 import pytest
 
+import hypzero.cli
+import hypzero.quadrature
 from hypzero.cli import main
 from hypzero.errors import ConfigError
+from hypzero.flows import classify_region
 from hypzero.kernel import Alpha
 from hypzero.verify import (ExperimentConfig, GridSpec, emit_report,
                             region_map, render_svg, run_realcase_crosscheck,
@@ -213,16 +216,16 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, argv):
     ["region", "--tol-boundary=-1"],
     ["region", "--tol-boundary=inf"],
     ["curve", "--tol-boundary=-1e-6"],
-    ["asym", "--tol-residual=inf"]])
+    ["asym", "--tol-boundary=inf"]])
 def test_cli_rejects_a_tolerance_not_positive_and_finite(tmp_path, capsys, argv):
+    # the tolerances are checked before any work, so no degree list is needed
     out = tmp_path / "o"
-    assert main([*argv, "--n", "5", "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert "tol-" in capsys.readouterr().err
     assert not out.exists()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(argv[1].lstrip("-").replace("=", " = ") + "\n")
-    assert main([argv[0], "--config", str(cfg), "--n", "5",
-                 "--out", str(out)]) == 2
+    assert main([argv[0], "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -288,6 +291,23 @@ def test_cli_asym(tmp_path):
     assert float(lines[1].split(",")[4]) == d["rows"][0]["k_nth_root"]
 
 
+def test_cli_asym_classifies_each_point_once(tmp_path, monkeypatch):
+    # two points at three degrees, each classified once with the flag's
+    # tolerance; the integrals themselves classify nothing
+    tols = []
+
+    def counted(z, alpha, boundary_tol=1e-6):
+        tols.append(boundary_tol)
+        return classify_region(z, alpha, boundary_tol=boundary_tol)
+
+    monkeypatch.setattr(hypzero.cli, "classify_region", counted)
+    monkeypatch.setattr(hypzero.quadrature, "classify_region", counted)
+    assert main(["asym", "--alpha-re", "1", "--n", "5,6,7",
+                 "--z=1.2,0.3;1.1,-0.4", "--tol-boundary=1e-3",
+                 "--out", str(tmp_path / "o10"), "--format", "json"]) == 0
+    assert tols == [1e-3, 1e-3]
+
+
 def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
     out = tmp_path / "o7"
     assert main(["asym", "--alpha-re", "1", "--n", "10",
@@ -304,7 +324,8 @@ def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
 def test_cli_rejects_formats_it_cannot_write(tmp_path, command, fmt):
     out = tmp_path / "o8"
     grid = ["--grid", "0.5:1.5:-0.5:0.5:2"] if command == "region" else []
-    assert main([command, "--n", "4", *grid,
+    degrees = [] if command in ("region", "curve") else ["--n", "4"]
+    assert main([command, *degrees, *grid,
                  "--out", str(out), "--format", f"json,{fmt}"]) == 2
     assert not out.exists()
 
@@ -331,14 +352,17 @@ def test_cli_config_file_precedence(tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     ("check", "grid", "0:1:0:1:2"), ("check", "k", "3"), ("check", "z", "1,2"),
-    ("curve", "grid", "0:1:0:1:2"), ("realcase", "z", "1,2")])
+    ("curve", "grid", "0:1:0:1:2"), ("realcase", "z", "1,2"),
+    ("region", "n", "5"), ("curve", "n", "5"),
+    ("region", "tol-residual", "1e-3"), ("curve", "tol-residual", "1e-3"),
+    ("asym", "tol-residual", "1e-3")])
 def test_cli_rejects_an_option_the_subcommand_lacks(tmp_path, command, key, value):
-    # only region reads a grid, only realcase k and l, only asym z
+    # only region reads a grid, only realcase k and l, only asym z; region
+    # and curve solve nothing, and only check and realcase certify residuals
     out = tmp_path / "o9"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    assert main([command, "--config", str(cfg), "--n", "4",
-                 "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     with pytest.raises(SystemExit) as exc:
         main([command, f"--{key}={value}", "--out", str(out)])
     assert exc.value.code == 2
