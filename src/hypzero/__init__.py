@@ -8,7 +8,7 @@ from .kernel import Alpha, BranchTrackedValue, Precision
 from .hyperpoly import Polynomial, coefficients, evaluate, real_family_coefficients
 from .saddle import SaddleData, descent_integral_estimate, level_constant, saddle_point
 from .flows import PathTrace, RegionLabel, StopRule, classify_region, \
-    halfplane_zero_free_check, saddle_directions, separatrices, trace_flow
+    saddle_directions, separatrices, trace_flow
 from .quadrature import ContourIntegral, descent_integral, endpoint_integral, \
     euler_integral
 from .roots import ZeroSet, find_roots

@@ -83,10 +83,9 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _common_settings(args):
-    alpha_re = _merged(args, "alpha-re", float, 1.0)
-    alpha_im = _merged(args, "alpha-im", float, 0.0)
     try:
-        alpha = Alpha(float(alpha_re), float(alpha_im))
+        alpha = Alpha(_merged(args, "alpha-re", float, 1.0),
+                      _merged(args, "alpha-im", float, 0.0))
     except HypzeroError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = _merged(args, "out", str, "out")
@@ -112,9 +111,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_realcase(args) -> int:
-    alpha, out_dir, formats, tolerances = _common_settings(args)
-    k = float(_merged(args, "k", float, alpha.eta))
-    l = float(_merged(args, "l", float, 0.0))
+    # realcase takes no alpha options: its parameter is k
+    _, out_dir, formats, tolerances = _common_settings(args)
+    k = _merged(args, "k", float, 1.0)
+    l = _merged(args, "l", float, 0.0)
     n_text = _merged(args, "n", str, "10,20,50")
     report = run_realcase_crosscheck(k, l, _parse_n_list(n_text), tolerances=tolerances,
                                      formats=formats)
@@ -232,13 +232,14 @@ _OPTIONS = {
     "l": dict(type=float),
     "z": dict(help="semicolon list of re,im samples"),
 }
-_COMMON = ("config", "alpha-re", "alpha-im", "out", "format")
+_COMMON = ("config", "out", "format")
+_ALPHA = ("alpha-re", "alpha-im")
 _COMMANDS = {
-    "check": (_cmd_check, ("n", "tol-residual", "tol-boundary")),
+    "check": (_cmd_check, (*_ALPHA, "n", "tol-residual", "tol-boundary")),
     "realcase": (_cmd_realcase, ("n", "tol-residual", "tol-boundary", "k", "l")),
-    "region": (_cmd_region, ("tol-boundary", "grid")),
-    "curve": (_cmd_curve, ("tol-boundary",)),
-    "asym": (_cmd_asym, ("n", "tol-boundary", "z")),
+    "region": (_cmd_region, (*_ALPHA, "tol-boundary", "grid")),
+    "curve": (_cmd_curve, (*_ALPHA, "tol-boundary")),
+    "asym": (_cmd_asym, (*_ALPHA, "n", "tol-boundary", "z")),
 }
 
 

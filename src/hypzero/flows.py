@@ -1,4 +1,4 @@
-"""Steepest ascent/descent tracing, the basin partition, and zero-free tests.
+"""Steepest ascent/descent tracing and the basin partition.
 
 The gradient of the real part of an analytic phase is the conjugate of its
 derivative, so steepest paths solve the unit-speed flow
@@ -97,22 +97,6 @@ class RegionLabel:
 class SaddleDirections:
     descent: tuple[complex, complex]
     ascent: tuple[complex, complex]
-
-
-@dataclass(frozen=True)
-class HalfplaneCertificate:
-    """Nonnegativity certificate for the radial-ascent cubic.
-
-    ``coefficients`` are (s^0, s^1, s^2, s^3); ``stationary_points`` the real
-    roots of the derivative within [0, s_max], paired with ``values``.
-    """
-
-    ok: bool
-    coefficients: tuple[float, float, float, float]
-    stationary_points: tuple[float, ...]
-    values: tuple[float, ...]
-    s_max: float
-    min_value: float
 
 
 def _flow_sign(direction: str) -> float:
@@ -344,48 +328,6 @@ def classify_region(z: complex, alpha: Alpha,
         return RegionLabel(label=BOUNDARY, margin=0.0)
     raise IndeterminateRegionError(
         f"classify_region: trace ended {trace.terminal} without classification")
-
-
-def halfplane_zero_free_check(z: complex, alpha: Alpha) -> HalfplaneCertificate:
-    """Certify the radial-segment ascent cubic is nonnegative for Re z <= 0.
-
-    The segment from the origin to z ascends the w-plane phase exactly when
-
-        E(s) = eta - 2*eta*x*s + (-x + eta*(x^2+y^2))*s^2 + (x^2+y^2)*s^3
-
-    stays nonnegative; every coefficient is nonnegative for x <= 0, and the
-    certificate pins that down through the closed-form stationary points.
-    """
-    x, y = z.real, z.imag
-    if x > 0:
-        raise DomainError("halfplane_zero_free_check requires Re z <= 0")
-    eta = alpha.eta
-    r2 = x * x + y * y
-    e = (eta, -2.0 * eta * x, -x + eta * r2, r2)
-
-    stat: list[float] = []
-    if e[3] != 0.0:
-        # E'(s) = 3 e3 s^2 + 2 e2 s + e1
-        disc = 4.0 * e[2] * e[2] - 12.0 * e[3] * e[1]
-        if disc >= 0.0:
-            rt = math.sqrt(disc)
-            stat = [(-2.0 * e[2] + rt) / (6.0 * e[3]),
-                    (-2.0 * e[2] - rt) / (6.0 * e[3])]
-    elif e[2] != 0.0:
-        stat = [-e[1] / (2.0 * e[2])]
-    s_max = max([1.0] + [s for s in stat if s > 0.0]) + 1.0
-
-    def E(s: float) -> float:
-        return ((e[3] * s + e[2]) * s + e[1]) * s + e[0]
-
-    candidates = [0.0, s_max] + [s for s in stat if 0.0 <= s <= s_max]
-    values = tuple(E(s) for s in candidates)
-    mn = min(values)
-    kept = tuple(s for s in stat if 0.0 <= s <= s_max)
-    return HalfplaneCertificate(ok=mn >= 0.0, coefficients=e,
-                                stationary_points=kept,
-                                values=tuple(E(s) for s in kept),
-                                s_max=s_max, min_value=mn)
 
 
 def separatrices(alpha: Alpha) -> tuple[PathTrace, PathTrace]:

@@ -26,6 +26,7 @@ from .kernel import Alpha, phase, phase_derivative, phase_second_derivative
 from .saddle import level_constant
 
 _MAX_STEPS = 400_000    # corrector steps per branch
+_CORRECTOR_TOL = 1e-9   # largest |Re psi - log c| at a vertex, beside rounding
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     return points, closed, crossed_cut
 
 
-def trace_level_curve(alpha: Alpha, corrector_tol: float = 1e-9,
-                      boundary_tol: float = 1e-6) -> LevelCurve:
+def trace_level_curve(alpha: Alpha, boundary_tol: float = 1e-6) -> LevelCurve:
     """Polyline arcs of the level set through the saddle.
 
     The arclength step is ``1e-3 * |w0|``.  Four branch traces start at the
@@ -173,7 +173,7 @@ def trace_level_curve(alpha: Alpha, corrector_tol: float = 1e-9,
     arcs: list[Arc] = []
     for d in _branch_directions(alpha):
         pts, closed, crossed = _trace_branch(alpha, d, target, resolution,
-                                             corrector_tol, max_arclength)
+                                             _CORRECTOR_TOL, max_arclength)
         mid = np.array([pts[len(pts) // 2]])
         if not any(_min_dist_to_polyline(mid, np.asarray(a.points, dtype=complex))[0]
                    < 3.0 * resolution for a in arcs):

@@ -323,14 +323,11 @@ class EndpointIntegral:
     endpoint_log_modulus: float     # n * log|1 - z|
     k_value: complex                # the tail factor K
     k_error: float                  # absolute error on K
-    junction_phase_gap: float | None
     path: tuple[complex, ...]       # trace vertices, t = 1 first
 
 
 def endpoint_integral(n: int, alpha: Alpha, z: complex,
-                      check_region: bool = True,
-                      junction_branch: BranchTrackedValue | None = None
-                      ) -> EndpointIntegral:
+                      check_region: bool = True) -> EndpointIntegral:
     """``int g^n dt`` from 1/z to 1 along the steepest-descent path from 1.
 
     On that path ``g(t) / g(1)`` is real and falls from 1 to 0, so it is
@@ -339,9 +336,7 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
     and integrated by the same polyline rule; a trace that does not end at
     1/z (z outside E) raises :class:`RegionError`.  The integral is
     returned as ``(1-z)^n * K``; K is explicit because its n-th root
-    magnitude is a convergence diagnostic.  ``junction_branch`` (the
-    continued phase at the 1/z end of the descent contour) enables a
-    sheet-consistency check across the junction.
+    magnitude is a convergence diagnostic.
     """
     if n <= 0:
         raise DomainError("endpoint_integral: n must be positive")
@@ -356,10 +351,6 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
     if trace.terminal != ENDPOINT_1:
         raise RegionError(f"endpoint_integral: descent from t=1 ends "
                           f"{trace.terminal}, not at 1/z")
-
-    junction_gap = None
-    if junction_branch is not None:
-        junction_gap = abs(trace.phases[-1].value.imag - junction_branch.value.imag)
 
     # the trace runs 1 -> 1/z; |g(1)|^n is the contour maximum
     g1 = 1.0 - z
@@ -377,6 +368,4 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
         truncation_log=log_tail,
     )
     return EndpointIntegral(integral=integral, endpoint_log_modulus=log_mod_end,
-                            k_value=k_total, k_error=k_err,
-                            junction_phase_gap=junction_gap,
-                            path=trace.points)
+                            k_value=k_total, k_error=k_err, path=trace.points)

@@ -34,7 +34,6 @@ SCHEMA = "hypzero/1"
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-10,
-    "corrector": 1e-9,
     "boundary": 1e-6,
 }
 
@@ -226,7 +225,6 @@ def _diagnose_root(n: int, alpha: Alpha, z: complex) -> RootSample:
 def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
     """Full clustering experiment for a complex (or real) parameter."""
     curve = trace_level_curve(config.alpha,
-                              corrector_tol=config.tolerances["corrector"],
                               boundary_tol=config.tolerances["boundary"])
     seps = separatrices(config.alpha)
     records = []
@@ -251,8 +249,9 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
             cov = coverage_gap(zeros.zeros, curve)
             lab_list = []
             marg_list = []
-            for z in zeros.zeros:
-                if z.real <= 0.0:
+            for z, radius in zip(zeros.zeros, zeros.radii):
+                # the inclusion disk, not just its centre, must lie in Re z > 0
+                if z.real <= radius:
                     lhp += 1
                 lab = classify_region(z, config.alpha,
                                       boundary_tol=boundary_tol)
@@ -365,6 +364,7 @@ def emit_report(report: VerificationReport, out_dir: str,
 
 
 _COLORS = {"InE": "#b03030", "NotInE": "#3050b0", "Boundary": "#808080"}
+_SVG_SIZE = 640     # side of the square view box
 
 
 def _svg_coords(points, scale, cx, cy):
@@ -372,18 +372,18 @@ def _svg_coords(points, scale, cx, cy):
                     for p in points)
 
 
-def _svg(view, arcs, seps, dots, size: int) -> str:
+def _svg(view, arcs, seps, dots) -> str:
     """Arcs as paths coloured by region, ``(point, radius, fill)`` dots as
     circles and, on top, separatrices as dashed polylines clipped to the
-    view, in a square of ``size`` around the points of ``view``."""
+    view, in a square of ``_SVG_SIZE`` around the points of ``view``."""
     re0, re1 = min(p.real for p in view), max(p.real for p in view)
     im0, im1 = min(p.imag for p in view), max(p.imag for p in view)
     span = max(re1 - re0, im1 - im0, 1e-9)
-    scale = 0.9 * size / span
+    scale = 0.9 * _SVG_SIZE / span
     cx, cy = 0.5 * (re0 + re1), 0.5 * (im0 + im1)
-    half = size / 2
+    half = _SVG_SIZE / 2
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-           f'viewBox="{-half:.0f} {-half:.0f} {size} {size}">']
+           f'viewBox="{-half:.0f} {-half:.0f} {_SVG_SIZE} {_SVG_SIZE}">']
     for arc in arcs:
         # a vertex within 1 px of the last one kept adds nothing visible;
         # both ends of the arc stay
@@ -411,7 +411,7 @@ def _svg(view, arcs, seps, dots, size: int) -> str:
     return "\n".join(out)
 
 
-def render_svg(curve: LevelCurve, seps, zeros, size: int = 640) -> str:
+def render_svg(curve: LevelCurve, seps, zeros) -> str:
     """Curve arcs as path elements, separatrices as polylines, zeros as circles.
 
     Exactly one ``<path>`` per curve arc and one ``<circle>`` per zero, which
@@ -419,18 +419,16 @@ def render_svg(curve: LevelCurve, seps, zeros, size: int = 640) -> str:
     """
     view = [p for arc in curve.arcs for p in arc.points]
     view += list(zeros) + [curve.crossing_point]
-    return _svg(view, curve.arcs, seps,
-                [(z, 2.5, "#202020") for z in zeros], size)
+    return _svg(view, curve.arcs, seps, [(z, 2.5, "#202020") for z in zeros])
 
 
 def render_region_svg(rows, grid: GridSpec, seps) -> str:
     """Basin portrait of ``region_map`` rows: one circle per grid point in
     the colour of its label, and the separatrices between the basins."""
-    size = 640
     view = [complex(grid.re0, grid.im0), complex(grid.re1, grid.im1)]
     return _svg(view, (), seps, [
-        (complex(*row["z"]), 0.3 * size / grid.steps,
-         _COLORS.get(row["label"], "#202020")) for row in rows], size)
+        (complex(*row["z"]), 0.3 * _SVG_SIZE / grid.steps,
+         _COLORS.get(row["label"], "#202020")) for row in rows])
 
 
 def region_map(alpha: Alpha, grid: GridSpec,

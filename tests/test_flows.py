@@ -11,8 +11,7 @@ from hypzero.errors import DomainError
 from hypzero.flows import (ASCENT, BOUNDARY, DESCENT, ENDPOINT_0, ENDPOINT_1,
                            ENDPOINT_INFINITY, IN_E, NOT_IN_E, StopRule,
                            capture_radius, classify_region,
-                           halfplane_zero_free_check, saddle_directions,
-                           separatrices, trace_flow)
+                           saddle_directions, separatrices, trace_flow)
 from hypzero.kernel import Alpha, phase_derivative
 from hypzero.levelcurve import _min_dist_to_polyline
 
@@ -195,45 +194,13 @@ def test_left_halfplane_outside_for_real_parameter():
 
 
 def test_left_halfplane_certificate_vs_basin_complex_parameter():
-    # with a complex parameter the radial-ascent certificate (which is what
-    # makes the left half-plane zero-free) can hold at points whose descent
-    # trace nevertheless terminates at 1: ascending from the origin along a
-    # segment does not pin the basin.  Freeze one verified example of each
-    # behaviour so the classifier's geometry stays visible.
-    assert halfplane_zero_free_check(-1.2j, AI).ok
+    # with a complex parameter the basin of w = 1 reaches into the left
+    # half-plane, so Re z <= 0 does not decide the label: the zero-free
+    # claim rests on each zero's inclusion disk instead.  Freeze one
+    # verified example of each label so the classifier's geometry stays
+    # visible.
     assert classify_region(-1.2j, AI).label == IN_E
-    assert halfplane_zero_free_check(-0.6j, AI).ok
     assert classify_region(-0.6j, AI).label == NOT_IN_E
-
-
-def test_halfplane_certificate_examples():
-    cert = halfplane_zero_free_check(-1.0 + 0j, Alpha(1.0))
-    assert cert.ok
-    assert cert.coefficients == (1.0, 2.0, 2.0, 1.0)
-
-    cert = halfplane_zero_free_check(1j, Alpha(1.0))
-    assert cert.ok
-    assert cert.coefficients == (1.0, -0.0, 1.0, 1.0)
-
-    cert = halfplane_zero_free_check(0.0 + 0j, Alpha(0.7))
-    assert cert.ok
-    assert cert.min_value == pytest.approx(0.7)
-
-
-def test_halfplane_certificate_structure():
-    cert = halfplane_zero_free_check(-0.8 + 1.3j, Alpha(1.3, 0.4))
-    assert cert.ok
-    assert cert.s_max >= 1.0
-    for s, v in zip(cert.stationary_points, cert.values):
-        e = cert.coefficients
-        deriv = e[1] + 2 * e[2] * s + 3 * e[3] * s ** 2
-        assert deriv == pytest.approx(0.0, abs=1e-9 * (1 + abs(e[2])))
-        assert v >= 0.0
-
-
-def test_halfplane_requires_left_halfplane():
-    with pytest.raises(DomainError):
-        halfplane_zero_free_check(0.3 + 0j, Alpha(1.0))
 
 
 def test_scaling_equivalence_of_flows():

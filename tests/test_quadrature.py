@@ -6,8 +6,8 @@ import pytest
 from hypzero.errors import DomainError, RegionError
 from hypzero.hyperpoly import coefficients, evaluate
 from hypzero.kernel import Alpha, Precision
-from hypzero.quadrature import (descent_integral, endpoint_integral,
-                                euler_integral)
+from hypzero.quadrature import (_trace_to_inverse, descent_integral,
+                                endpoint_integral, euler_integral)
 from hypzero.roots import find_roots
 from hypzero.saddle import descent_integral_estimate, saddle_point
 
@@ -193,21 +193,19 @@ def test_endpoint_k_matches_straight_segment_oracle(a, z):
 
 
 def test_junction_branch_consistency():
-    n, a, z = 12, AI, 1.1 + 0.4j
-    i1 = descent_integral(n, a, z, epsilon=1e-4, check_region=False)
-    # the descent contour hands its continued phase at 1/z to the endpoint
-    # path; on the acceptance domain both sit on the same sheet
-    from hypzero.flows import DESCENT, saddle_directions, trace_flow
+    a, z = AI, 1.1 + 0.4j
+    # the descent contour and the endpoint path from t = 1 meet at 1/z; on
+    # the acceptance domain their continued phases sit on the same sheet
+    from hypzero.flows import DESCENT, ENDPOINT_1, saddle_directions, trace_flow
+    end = _trace_to_inverse(1.0 + 0j, z, a).phases[-1]
     sd = saddle_point(z, a)
     rho = 1e-6 * min(abs(sd.t0), abs(1 / z - sd.t0))
     for d in saddle_directions(z, a).descent:
         tr = trace_flow(sd.t0 + rho * d, z, a, DESCENT,
                         initial_branch=sd.log_g_at_t0)
-        if tr.terminal == "Endpoint1":
-            res = endpoint_integral(n, a, z, check_region=False,
-                                    junction_branch=tr.phases[-1])
-            assert res.junction_phase_gap is not None
-            assert res.junction_phase_gap < math.pi / 2
+        if tr.terminal == ENDPOINT_1:
+            gap = abs(tr.phases[-1].value.imag - end.value.imag)
+            assert gap < math.pi / 2
             break
     else:
         pytest.fail("no descent leg reached 1/z")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pytest
 
 import hypzero.cli
 import hypzero.quadrature
+import hypzero.verify
 from hypzero.cli import main
 from hypzero.errors import ConfigError
 from hypzero.flows import classify_region
@@ -34,8 +36,7 @@ def test_config_validation():
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=AI, n_list=(5,),
-                             tolerances={"residual": 1e-10, "corrector": 1e-9,
-                                         "boundary": bad})
+                             tolerances={"residual": 1e-10, "boundary": bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=AI, n_list=(5,), formats=("pdf",))
 
@@ -72,8 +73,24 @@ def test_report_config_block(small_report):
     config = small_report.to_json_dict()["config"]
     assert set(config) == {"alpha", "n_list", "tolerances", "formats",
                            "shift", "samples_per_n"}
-    assert config["tolerances"] == {"boundary": 1e-6, "corrector": 1e-9,
-                                    "residual": 1e-10}
+    assert config["tolerances"] == {"boundary": 1e-6, "residual": 1e-10}
+
+
+def test_left_halfplane_count_reads_the_inclusion_disk(monkeypatch):
+    # a zero whose centre lies right of the imaginary axis but whose disk
+    # reaches across it is not certified zero-free, so it counts
+    solve = hypzero.verify.find_roots
+
+    def straddling(p, **kwargs):
+        zs = solve(p, **kwargs)
+        return dataclasses.replace(zs, zeros=(1e-9 + 0.5j, *zs.zeros[1:]),
+                                   radii=(2e-9, *zs.radii[1:]))
+
+    monkeypatch.setattr(hypzero.verify, "find_roots", straddling)
+    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6,),
+                                             samples_per_n=0))
+    assert rep.records[0].left_halfplane_violations == 1
+    assert not rep.passed
 
 
 def test_single_root_record():
@@ -355,10 +372,12 @@ def test_cli_config_file_precedence(tmp_path):
     ("curve", "grid", "0:1:0:1:2"), ("realcase", "z", "1,2"),
     ("region", "n", "5"), ("curve", "n", "5"),
     ("region", "tol-residual", "1e-3"), ("curve", "tol-residual", "1e-3"),
-    ("asym", "tol-residual", "1e-3")])
+    ("asym", "tol-residual", "1e-3"),
+    ("realcase", "alpha-re", "2"), ("realcase", "alpha-im", "5")])
 def test_cli_rejects_an_option_the_subcommand_lacks(tmp_path, command, key, value):
-    # only region reads a grid, only realcase k and l, only asym z; region
-    # and curve solve nothing, and only check and realcase certify residuals
+    # only region reads a grid, only realcase k and l (and no alpha), only
+    # asym z; region and curve solve nothing, and only check and realcase
+    # certify residuals
     out = tmp_path / "o9"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
