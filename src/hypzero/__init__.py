@@ -14,6 +14,6 @@ from .quadrature import ContourIntegral, descent_integral, endpoint_integral, \
 from .roots import ZeroSet, find_roots
 from .levelcurve import LevelCurve, distance_to_curve, trace_level_curve
 from .verify import ExperimentConfig, GridSpec, VerificationReport, \
-    emit_report, run_realcase_crosscheck, run_theorem_check
+    emit_report, run_theorem_check
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``check``    -- full clustering run for one parameter over a degree list
-* ``realcase`` -- the shifted real-parameter cross-check (k, l)
-* ``region``   -- basin map of the classifier over a z-grid
-* ``curve``    -- emit the level curve only
-* ``asym``     -- table of descent-integral / leading-term ratios
+* ``check``  -- full clustering run for one parameter over a degree list,
+  for the family b = alpha*n + 1 + l with l given by ``--shift``
+* ``region`` -- basin map of the classifier over a z-grid
+* ``curve``  -- emit the level curve only
+* ``asym``   -- table of descent-integral / leading-term ratios
 
 Options can also come from a flat ``key = value`` config file whose keys are
 the subcommand's options; precedence is command line > file > defaults.  Exit codes: 0 all checks passed, 1 checks
@@ -28,7 +28,7 @@ from .levelcurve import trace_level_curve
 from .saddle import descent_integral_estimate
 from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
                      emit, emit_report, region_map, render_region_svg,
-                     render_svg, run_realcase_crosscheck, run_theorem_check)
+                     render_svg, run_theorem_check)
 
 
 def _read_config_file(args) -> None:
@@ -103,23 +103,11 @@ def _cmd_check(args) -> int:
     alpha, out_dir, formats, tolerances = _common_settings(args)
     n_text = _merged(args, "n", str, "10,20,40")
     config = ExperimentConfig(alpha=alpha, n_list=_parse_n_list(n_text),
-                              tolerances=tolerances, formats=formats)
+                              tolerances=tolerances, formats=formats,
+                              shift=_merged(args, "shift", float, 0.0))
     report = run_theorem_check(config)
     emit_report(report, out_dir, formats)
     print(f"check: wrote {out_dir}; passed={report.passed}")
-    return 0 if report.passed else 1
-
-
-def _cmd_realcase(args) -> int:
-    # realcase takes no alpha options: its parameter is k
-    _, out_dir, formats, tolerances = _common_settings(args)
-    k = _merged(args, "k", float, 1.0)
-    l = _merged(args, "l", float, 0.0)
-    n_text = _merged(args, "n", str, "10,20,50")
-    report = run_realcase_crosscheck(k, l, _parse_n_list(n_text), tolerances=tolerances,
-                                     formats=formats)
-    emit_report(report, out_dir, formats)
-    print(f"realcase: wrote {out_dir}; passed={report.passed}")
     return 0 if report.passed else 1
 
 
@@ -228,15 +216,14 @@ _OPTIONS = {
     "tol-residual": dict(type=float),
     "tol-boundary": dict(type=float),
     "grid": dict(help="re0:re1:im0:im1:steps"),
-    "k": dict(type=float),
-    "l": dict(type=float),
+    "shift": dict(type=float, help="l in b = alpha*n + 1 + l, finite and >= 0"),
     "z": dict(help="semicolon list of re,im samples"),
 }
 _COMMON = ("config", "out", "format")
 _ALPHA = ("alpha-re", "alpha-im")
 _COMMANDS = {
-    "check": (_cmd_check, (*_ALPHA, "n", "tol-residual", "tol-boundary")),
-    "realcase": (_cmd_realcase, ("n", "tol-residual", "tol-boundary", "k", "l")),
+    "check": (_cmd_check, (*_ALPHA, "n", "tol-residual", "tol-boundary",
+                           "shift")),
     "region": (_cmd_region, (*_ALPHA, "tol-boundary", "grid")),
     "curve": (_cmd_curve, (*_ALPHA, "tol-boundary")),
     "asym": (_cmd_asym, (*_ALPHA, "n", "tol-boundary", "z")),

@@ -6,8 +6,9 @@ coefficients
     c_k = (-1)^k * C(n, k) * b / (b + k),      b = alpha*n + 1,
 
 obtained by telescoping the ratio of the two rising factorials that share
-the ``b`` offset.  The same closed form with ``b = k*n + l + 1`` produces
-the shifted real-parameter family used for cross-checks.
+the ``b`` offset.  The same closed form with ``b = alpha*n + 1 + l``,
+l >= 0, gives the shifted family, for every complex alpha; l = 0 is the
+main family.
 
 Raw coefficient magnitudes reach ``C(n, n/2)`` (about 1e17 at n = 60), so a
 polynomial is stored as its parameters only; each consumer derives the
@@ -46,7 +47,7 @@ def coefficients(n: int, alpha: Alpha) -> Polynomial:
 
 
 def real_family_coefficients(n: int, k: float, l: float = 0.0) -> Polynomial:
-    """Shifted real-parameter family (b = k*n + l + 1) for cross-checks."""
+    """The shifted family (b = alpha*n + 1 + l) at a real ``alpha = k``."""
     if k <= 0:
         raise DomainError("k must be positive")
     if l < 0:

@@ -34,7 +34,7 @@ class Alpha:
     """Complex family parameter ``alpha = eta + i*zeta``.
 
     Finite ``eta > 0`` and ``zeta`` are required throughout.  ``zeta == 0``
-    is the real-parameter cross-check regime (``is_real_regime``);
+    is the real-parameter regime (``is_real_regime``);
     ``zeta != 0`` is the regime of the main clustering experiment.
     """
 

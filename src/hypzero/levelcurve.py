@@ -64,6 +64,35 @@ def _branch_directions(alpha: Alpha) -> list[complex]:
             for s in (1.0, -1.0) for k in (0, 1)]
 
 
+def level_free_radius(alpha: Alpha) -> float:
+    """Radius ``rho1`` of a disk around w = 1 that the level line
+    ``Re psi = log c`` of :func:`trace_level_curve` does not enter.
+
+    For w = 1 + rho e^(i theta) with 0 < rho < 1, |w| <= 1 + rho and the
+    principal arg w lies within asin(rho) of 0, so
+
+        Re psi(w) = eta log|w| - zeta arg w + log rho
+                  <= U(rho) = log rho + eta log(1 + rho) + |zeta| asin(rho).
+
+    U increases strictly from -inf, so Re psi < log c wherever
+    |w - 1| < rho1 with U(rho1) = log c.  Bisection keeps the end of its
+    bracket where U <= log c, so the radius returned is at most rho1; it is
+    1 if U stays below log c on (0, 1).  The bound holds on the principal
+    sheet, which a branch of a non-real parameter never leaves (it stops at
+    the cut), and a real parameter has zeta = 0.
+    """
+    target = math.log(level_constant(alpha))
+    eta, zeta = alpha.eta, abs(alpha.zeta)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.log(mid) + eta * math.log1p(mid) + zeta * math.asin(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo if hi < 1.0 else 1.0
+
+
 def _trace_branch(alpha: Alpha, direction: complex, target: float,
                   resolution: float, corrector_tol: float,
                   max_arclength: float):
@@ -75,12 +104,15 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
     beyond it the continued line spirals off the principal sheet.  A real
     parameter's modulus is single-valued, so its loop around 0 crosses the
     axis on the same sheet and closes.  A radius window ends branches that
-    run into 0 or 1 or out to infinity with ``closed=False``.  A branch
-    still open after ``_MAX_STEPS`` steps raises :class:`TracingError`.
+    run into 0 or 1 or out to infinity with ``closed=False``; the window
+    around 1 lies inside the disk of :func:`level_free_radius`, which the
+    line never enters.  A branch still open after ``_MAX_STEPS`` steps
+    raises :class:`TracingError`.
     """
     w0 = alpha.saddle_base
     blowup = 4.0 * (1.0 + abs(w0))
     pit = 40.0 * resolution
+    pit_one = min(pit, 0.5 * level_free_radius(alpha))
 
     def correct(w, br, h):
         for _ in range(10):
@@ -148,7 +180,7 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
             points.append(w0)
             closed = True
             break
-        if abs(w) > blowup or abs(w) < pit or abs(w - 1.0) < pit:
+        if abs(w) > blowup or abs(w) < pit or abs(w - 1.0) < pit_one:
             break
     return points, closed, crossed_cut
 

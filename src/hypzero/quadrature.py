@@ -1,9 +1,10 @@
-"""Contour integration of the integrand power ``g(t)^n`` and its pieces.
+"""Contour integration of the integrand ``t^l g(t)^n`` and its pieces.
 
 Everything funnels through a complex-valued adaptive Gauss-Kronrod rule.
 Magnitudes scale like ``rho^n`` and leave double range quickly, so every
 integral is carried as (log-modulus, phase) with the quadrature performed on
-an exponent-shifted integrand; error bounds are log-scale as well.
+an exponent-shifted integrand; error bounds are log-scale as well.  The
+offset l of the family b = alpha*n + 1 + l moves no contour.
 
 Three contours appear:
 
@@ -186,8 +187,8 @@ def euler_integral(n: int, alpha: Alpha, z: complex) -> ContourIntegral:
 
 
 def _polyline_power_integral(points, phases, z, alpha, n: int,
-                             shift: float) -> tuple[complex, float]:
-    """``int g^n dt`` along a traced polyline, scaled by ``exp(-shift)``.
+                             shift: float, *, l: float = 0) -> tuple[complex, float]:
+    """``int t^l g^n dt`` along a traced polyline, scaled by ``exp(-shift)``.
 
     Branch values from the trace anchor the continuation inside each
     segment, so the integrand is evaluated on the correct sheet even where
@@ -203,6 +204,8 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
         log_t, log_u = phase_parts(p0[rows] + s * seg[rows], z,
                                    log_t0[rows], log_u0[rows])
         w = n * (alpha.value * log_t + log_u) - shift
+        if l:
+            w = w + l * log_t
         return np.where(w.real < -745.0, 0j, np.exp(w))
 
     v, e = _gk15_array(f, 0.0, 1.0)
@@ -212,9 +215,9 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
                                rule=_gk15_array)
     length = np.abs(seg[:, 0])
     # scaled integrand is at most ~1 (the shift is its contour maximum); the
-    # roundoff floor grows with n because exp(n*phase) amplifies phase
-    # rounding n-fold
-    err = e @ length + (4.0 + 2.0 * n) * 1e-16 * length.sum()
+    # roundoff floor grows with n + l because the exponent amplifies phase
+    # rounding (n + l)-fold
+    err = e @ length + (4.0 + 2.0 * (n + l)) * 1e-16 * length.sum()
     return complex(v @ seg[:, 0]), float(err)
 
 
@@ -229,21 +232,23 @@ def _trace_to_inverse(start: complex, z: complex, alpha: Alpha,
                       corrector_tol=1e-10, initial_branch=initial_branch)
 
 
-def _log_tail_at_inverse(trace: PathTrace, z: complex, n: int) -> float:
-    """Log bound on ``int g^n`` from the end of ``trace`` to 1/z: inside the
-    stop radius ``|g|^n`` decays like ``dist^n``."""
+def _log_tail_at_inverse(trace: PathTrace, z: complex, n: int, l: float) -> float:
+    """Log bound on ``int t^l g^n`` from the end of ``trace`` to 1/z: inside
+    the stop radius ``|g|^n`` decays like ``dist^n`` and ``|t|^l`` stays
+    below ``(|t_end| + dist)^l``."""
     dist = abs(trace.points[-1] - 1.0 / z)
-    return n * trace.phases[-1].value.real + math.log(dist / (n + 1.0) + 1e-300)
+    reach = l * math.log(abs(trace.points[-1]) + dist) if l else 0.0
+    return n * trace.phases[-1].value.real + math.log(dist / (n + 1.0) + 1e-300) + reach
 
 
 def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
-                     check_region: bool = True) -> ContourIntegral:
-    """``int g^n dt`` from the origin to 1/z along the steepest-descent contour.
+                     check_region: bool = True, *, l: float = 0) -> ContourIntegral:
+    """``int t^l g^n dt`` from the origin to 1/z along the steepest-descent contour.
 
     The two descent legs are traced from the saddle, starting 1e-6 of its
     distance to the nearer branch point away from it; the leg into the origin
     is truncated at radius ``epsilon`` and the omitted spiral start
-    contributes only the analytic budget ``M eps^(eta+1) / (eta+1)``.
+    contributes only the analytic budget ``M eps^(eta+l+1) / (eta+l+1)``.
     Requires z in the admissible region (checked unless ``check_region`` is
     False, in which case the caller vouches).
     """
@@ -282,18 +287,24 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
                            {"terminal": leg1.terminal})
 
     shift = n * anchor.value.real
+    if l:
+        shift += l * math.log(abs(t0))
 
     # legs are traced outward from the saddle; orient the contour 0 -> 1/z
-    v0, e0 = _polyline_power_integral(leg0.points, leg0.phases, z, alpha, n, shift)
-    v1, e1 = _polyline_power_integral(leg1.points, leg1.phases, z, alpha, n, shift)
+    v0, e0 = _polyline_power_integral(leg0.points, leg0.phases, z, alpha, n, shift, l=l)
+    v1, e1 = _polyline_power_integral(leg1.points, leg1.phases, z, alpha, n, shift, l=l)
     # short straight gap across the saddle between the two leg starts
     gap_pts = (leg0.points[0], leg1.points[0])
     gap_phs = (phase(leg0.points[0], z, alpha, branch=anchor),)
-    vg, eg = _polyline_power_integral(gap_pts, gap_phs, z, alpha, n, shift)
+    vg, eg = _polyline_power_integral(gap_pts, gap_phs, z, alpha, n, shift, l=l)
     total = -v0 + vg + v1
     quad_err = e0 + e1 + eg
 
-    # budget for the omitted segment from 0 to the truncation point
+    # budget for the omitted segment from 0 to the truncation point: the
+    # integral over the spiral equals the one over the ray [0, w_eps], on
+    # which |g|^n <= M |t|^eta with M the largest sampled |g|^n / |t|^eta.
+    # For real l, |t^l| = |t|^l on every sheet, so |t^l g^n| <= M |t|^(eta+l)
+    # and the ray contributes at most M |w_eps|^(eta+l+1) / (eta+l+1)
     w_eps = leg0.points[-1]
     br_eps = leg0.phases[-1]
     log_m = -math.inf
@@ -301,10 +312,10 @@ def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float,
         t = w_eps * tau
         br = phase(t, z, alpha, branch=br_eps)
         log_m = max(log_m, n * br.value.real - alpha.eta * math.log(abs(t)))
-    log_eps_budget = (log_m + (alpha.eta + 1.0) * math.log(abs(w_eps))
-                      - math.log(alpha.eta + 1.0))
+    power = alpha.eta + l + 1.0
+    log_eps_budget = (log_m + power * math.log(abs(w_eps)) - math.log(power))
 
-    trunc = _log_add(log_eps_budget, _log_tail_at_inverse(leg1, z, n))
+    trunc = _log_add(log_eps_budget, _log_tail_at_inverse(leg1, z, n, l))
     log_err = _log_add(shift + (math.log(quad_err) if quad_err > 0 else -math.inf),
                        trunc)
     return ContourIntegral(
@@ -327,16 +338,16 @@ class EndpointIntegral:
 
 
 def endpoint_integral(n: int, alpha: Alpha, z: complex,
-                      check_region: bool = True) -> EndpointIntegral:
-    """``int g^n dt`` from 1/z to 1 along the steepest-descent path from 1.
+                      check_region: bool = True, *, l: float = 0) -> EndpointIntegral:
+    """``int t^l g^n dt`` from 1/z to 1 along the steepest-descent path from 1.
 
     On that path ``g(t) / g(1)`` is real and falls from 1 to 0, so it is
     the implicit path ``g(t) = s g(1)``, s in [0, 1].  It is traced by
     :func:`trace_flow` to the tight 1/z radius of :func:`descent_integral`
     and integrated by the same polyline rule; a trace that does not end at
     1/z (z outside E) raises :class:`RegionError`.  The integral is
-    returned as ``(1-z)^n * K``; K is explicit because its n-th root
-    magnitude is a convergence diagnostic.
+    returned as ``(1-z)^n * K`` (``t^l`` is 1 at t = 1); K is explicit
+    because its n-th root magnitude is a convergence diagnostic.
     """
     if n <= 0:
         raise DomainError("endpoint_integral: n must be positive")
@@ -356,9 +367,9 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
     g1 = 1.0 - z
     log_mod_end = n * math.log(abs(g1))
     total, err = _polyline_power_integral(trace.points, trace.phases, z, alpha,
-                                          n, log_mod_end)
+                                          n, log_mod_end, l=l)
     k_total = -total * cmath.exp(-1j * n * cmath.phase(g1))
-    log_tail = _log_tail_at_inverse(trace, z, n)
+    log_tail = _log_tail_at_inverse(trace, z, n, l)
     k_err = err + math.exp(log_tail - log_mod_end)
 
     integral = ContourIntegral(

@@ -75,8 +75,10 @@ class SaddleEstimate:
     value: complex | None
 
 
-def descent_integral_estimate(n: int, z: complex, alpha: Alpha) -> SaddleEstimate:
-    """Leading term ``g(t0)^n * sqrt(2*pi / (n * |phi''(t0)|))`` in log form.
+def descent_integral_estimate(n: int, z: complex, alpha: Alpha, *,
+                              l: float = 0) -> SaddleEstimate:
+    """Leading term ``t0^l * g(t0)^n * sqrt(2*pi / (n * |phi''(t0)|))`` of
+    ``int t^l g^n dt`` in log form, with ``t0^l`` on the principal branch.
 
     Valid when the descent contour through the saddle joins the two branch
     points, i.e. for z inside the admissible region; membership is the
@@ -85,10 +87,12 @@ def descent_integral_estimate(n: int, z: complex, alpha: Alpha) -> SaddleEstimat
     if n <= 0:
         raise DomainError("descent_integral_estimate: n must be positive")
     sd = saddle_point(z, alpha)
-    phi0 = sd.log_g_at_t0.value
-    log_mod = n * phi0.real + 0.5 * math.log(2.0 * math.pi / (n * sd.phi_pp_mod))
+    phi0 = n * sd.log_g_at_t0.value
+    if l:
+        phi0 += l * sd.log_g_at_t0.parts[0]
+    log_mod = phi0.real + 0.5 * math.log(2.0 * math.pi / (n * sd.phi_pp_mod))
     # direction factor from the half-angle of -phi''(t0)
     direction = -0.5 * cmath.phase(-phase_second_derivative(sd.t0, z, alpha))
-    arg = n * phi0.imag + direction
+    arg = phi0.imag + direction
     value = cmath.exp(complex(log_mod, arg)) if abs(log_mod) < 700.0 else None
     return SaddleEstimate(log_modulus=log_mod, phase=arg, value=value)

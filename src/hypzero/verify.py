@@ -23,7 +23,9 @@ from . import quadrature
 from .errors import ConfigError, HypzeroError
 from .flows import (IN_E, NOT_IN_E, PathTrace, classify_region,
                     separatrices)
-from .hyperpoly import Polynomial, coefficients, real_family_coefficients
+from .hyperpoly import Polynomial
+# unused here, but perfbench/tracing.py wraps both names in this module
+from .hyperpoly import coefficients, real_family_coefficients  # noqa: F401
 from .kernel import Alpha
 from .levelcurve import (LevelCurve, coverage_gap, distance_to_curve,
                          trace_level_curve)
@@ -78,7 +80,7 @@ class ExperimentConfig:
     n_list: tuple[int, ...]
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     formats: tuple[str, ...] = ("json",)
-    shift: float = 0.0          # l-offset for the real-parameter family
+    shift: float = 0.0          # l in b = alpha*n + 1 + l, finite and >= 0
     samples_per_n: int = 3      # zeros receiving split-integral diagnostics
 
     def __post_init__(self):
@@ -91,6 +93,8 @@ class ExperimentConfig:
         for f in self.formats:
             if f not in ("json", "csv", "svg"):
                 raise ConfigError(f"unknown output format {f!r}")
+        if not (math.isfinite(self.shift) and self.shift >= 0):
+            raise ConfigError(f"shift must be finite and >= 0, got {self.shift!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,11 +188,7 @@ class VerificationReport:
 
 
 def _build_polynomial(n: int, config: ExperimentConfig) -> Polynomial:
-    if config.shift != 0.0:
-        if not config.alpha.is_real_regime:
-            raise ConfigError("the shifted family requires a real parameter")
-        return real_family_coefficients(n, config.alpha.eta, config.shift)
-    return coefficients(n, config.alpha)
+    return Polynomial(n, config.alpha, 1.0 + config.shift)
 
 
 def _sample_indices(count: int, wanted: int) -> list[int]:
@@ -199,12 +199,13 @@ def _sample_indices(count: int, wanted: int) -> list[int]:
     return [round(i * (count - 1) / (wanted - 1)) for i in range(wanted)]
 
 
-def _diagnose_root(n: int, alpha: Alpha, z: complex) -> RootSample:
+def _diagnose_root(n: int, alpha: Alpha, z: complex, *,
+                   l: float = 0) -> RootSample:
     eps = 1e-4 * (1.0 + abs(1.0 / z))
     i1 = quadrature.descent_integral(n, alpha, z, epsilon=eps,
-                                     check_region=False)
-    i2 = quadrature.endpoint_integral(n, alpha, z, check_region=False)
-    est = descent_integral_estimate(n, z, alpha)
+                                     check_region=False, l=l)
+    i2 = quadrature.endpoint_integral(n, alpha, z, check_region=False, l=l)
+    est = descent_integral_estimate(n, z, alpha, l=l)
     split = abs(i1.value + i2.integral.value) if (
         abs(i1.log_modulus) < 700 and abs(i2.integral.log_modulus) < 700) else None
     budget = math.exp(min(i1.abs_error_bound, 700.0)) + math.exp(
@@ -223,14 +224,18 @@ def _diagnose_root(n: int, alpha: Alpha, z: complex) -> RootSample:
 
 
 def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
-    """Full clustering experiment for a complex (or real) parameter."""
+    """Full clustering experiment for the family b = alpha*n + 1 + shift."""
     curve = trace_level_curve(config.alpha,
                               boundary_tol=config.tolerances["boundary"])
     seps = separatrices(config.alpha)
+    # the zeros cluster on the InE loop through w0 around 1: an open or
+    # off-sheet arc measures distances to the wrong set
+    loop_closed = any(a.closed and a.region == IN_E and not a.crossed_cut
+                      for a in curve.arcs)
     records = []
     boundary_tol = config.tolerances["boundary"]
     for n in config.n_list:
-        flags: list[str] = []
+        flags = [] if loop_closed else ["level curve: no closed InE loop"]
         zeros = None
         distances: tuple[float, ...] = ()
         max_d = math.nan
@@ -265,7 +270,8 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
             for i in _sample_indices(len(in_e_idx), config.samples_per_n):
                 z = zeros.zeros[in_e_idx[i]]
                 try:
-                    samples.append(_diagnose_root(n, config.alpha, z))
+                    samples.append(_diagnose_root(n, config.alpha, z,
+                                                  l=config.shift))
                 except HypzeroError as exc:
                     flags.append(f"sample z={z:.6g}: {exc}")
         except HypzeroError as exc:
@@ -283,27 +289,14 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
     trend_ok = True
     if len(complete) >= 2:
         trend_ok = complete[-1].max_distance < complete[0].max_distance
-    passed = (zero_free_ok and trend_ok
+    # at a zero the two contour pieces sum to the vanishing Euler integral
+    samples_ok = all(s.split_cancels for r in records for s in r.samples)
+    passed = (zero_free_ok and trend_ok and samples_ok
               and len(complete) == len(records)
               and all(not r.flags for r in records))
     return VerificationReport(config=config, config_hash=config.hash(),
                               curve=curve, separatrix_pair=seps,
                               records=tuple(records), passed=passed)
-
-
-def run_realcase_crosscheck(k: float, l: float, n_list,
-                            tolerances: dict | None = None,
-                            formats=("json",)) -> VerificationReport:
-    """Clustering cross-check for the shifted real-parameter family."""
-    if k <= 0:
-        raise ConfigError("k must be positive")
-    if l < 0:
-        raise ConfigError("l must be nonnegative")
-    config = ExperimentConfig(
-        alpha=Alpha(k, 0.0), n_list=tuple(n_list),
-        tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-        formats=tuple(formats), shift=l)
-    return run_theorem_check(config)
 
 
 # ---------------------------------------------------------------- emission

@@ -16,8 +16,7 @@ from hypzero.kernel import Alpha, Precision
 from hypzero.quadrature import (descent_integral, endpoint_integral,
                                 euler_integral)
 from hypzero.saddle import descent_integral_estimate, level_constant
-from hypzero.verify import (ExperimentConfig, run_realcase_crosscheck,
-                            run_theorem_check)
+from hypzero.verify import ExperimentConfig, run_theorem_check
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
@@ -36,7 +35,7 @@ def _report(num: int, label: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="session")
 def realcase_report():
-    return run_realcase_crosscheck(1.0, 0.0, (10, 50))
+    return run_theorem_check(ExperimentConfig(Alpha(1.0), (10, 50)))
 
 
 @pytest.fixture(scope="session")

@@ -23,19 +23,16 @@ _FORMATS = st.lists(st.sampled_from(["json", "csv", "svg", "pdf"]),
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(
-        ["check", "realcase", "region", "curve", "asym"]))
+    command = draw(st.sampled_from(["check", "region", "curve", "asym"]))
     argv = [command]
-    # realcase takes no alpha options: its parameter is k
-    options = {} if command == "realcase" else {
-        "--alpha-re": _NUMBER, "--alpha-im": _NUMBER}
-    options["--format"] = _FORMATS
+    options = {"--alpha-re": _NUMBER, "--alpha-im": _NUMBER,
+               "--format": _FORMATS}
     if command not in ("region", "curve"):
         options["--n"] = _DEGREES
     if command == "region":
         options["--grid"] = _GRID
-    if command == "realcase":
-        options.update({"--k": _NUMBER, "--l": _NUMBER})
+    if command == "check":
+        options["--shift"] = _NUMBER
     if command == "asym":
         options["--z"] = _POINTS
     for key, values in options.items():
@@ -47,7 +44,8 @@ def _argv(draw):
 # ``key = value`` lines of a config file, values typed by hand
 _CONFIG = st.lists(st.tuples(
     st.sampled_from(["alpha-re", "alpha-im", "n", "precision", "format",
-                     "tol-residual", "tol-boundary", "grid", "k", "l", "z"]),
+                     "tol-residual", "tol-boundary", "grid", "shift", "k",
+                     "l", "z"]),
     st.text("0123456789.,:;-einfa", max_size=8)), max_size=3)
 
 
@@ -58,7 +56,8 @@ _CONFIG = st.lists(st.tuples(
 @example(["check", "--alpha-re=2.2250738585072014e-308"], [])
 @example(["check", "--alpha-re=1e-12", "--n=3"], [])
 @example(["check", "--alpha-re=1e-30", "--n=3"], [])
-@example(["realcase", "--k=1", "--l=2", "--n=6", "--alpha-im=5"], [])
+@example(["check", "--alpha-re=1", "--shift=2", "--n=6", "--alpha-im=5"], [])
+@example(["realcase", "--k=1", "--l=2", "--n=6"], [])
 @settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_ends_in_an_exit_code(tmp_path, argv, config):

@@ -8,10 +8,14 @@ from hypzero.errors import SelectionError, TracingError
 from hypzero.kernel import Alpha
 from hypzero import levelcurve
 from hypzero.levelcurve import (LevelCurve, _min_dist_to_polyline,
-                                distance_to_curve, trace_level_curve)
+                                distance_to_curve, level_free_radius,
+                                trace_level_curve)
 from hypzero.saddle import level_constant, saddle_point
 
 A1 = Alpha(1.0)
+# parameters whose InE loop passes within 40 steps (0.04 |w0|) of w = 1
+LARGE = [(8.0, 0.0), (8.0, 2.0), (12.0, 0.0), (20.0, -5.0), (2.0, 8.0),
+         (1.0, 12.0)]
 
 
 def modulus_at(alpha: Alpha, w: complex) -> float:
@@ -74,12 +78,29 @@ def test_conjugation_symmetry_real_parameter():
 
 
 def test_complex_parameters_have_closed_admissible_loop():
-    for av in (Alpha(1.0, 1.0), Alpha(2.0, -1.0)):
+    for av in (Alpha(1.0, 1.0), Alpha(2.0, -1.0), *(Alpha(*p) for p in LARGE)):
         lc = trace_level_curve(av)
         good = [a for a in lc.arcs if a.region == "InE" and not a.crossed_cut]
         assert len(good) == 1
         assert good[0].closed
         assert min(p.real for p in good[0].points) > 0.0
+
+
+@pytest.mark.parametrize("av", LARGE)
+def test_level_free_radius_against_circles_around_one(av):
+    # Re psi - log c over 4096 points of each circle |w - 1| = rho: below 0
+    # on every circle inside rho1, and reaching 0 within 10% outside it
+    a = Alpha(*av)
+    rho1 = level_free_radius(a)
+    theta = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+
+    def highest(rho):
+        w = 1.0 + rho * np.exp(1j * theta)
+        return float(np.max((a.value * np.log(w) + np.log(1.0 - w)).real))
+
+    target = math.log(level_constant(a))
+    assert all(highest(rho1 * k / 256) < target for k in range(1, 256))
+    assert any(highest(rho1 * (1.0 + k / 256)) >= target for k in range(26))
 
 
 def test_branch_open_at_the_step_cap_raises(monkeypatch):

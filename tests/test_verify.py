@@ -12,10 +12,11 @@ import hypzero.verify
 from hypzero.cli import main
 from hypzero.errors import ConfigError
 from hypzero.flows import classify_region
+from hypzero.hyperpoly import Polynomial
+from hypzero.roots import find_roots
 from hypzero.kernel import Alpha
 from hypzero.verify import (ExperimentConfig, GridSpec, emit_report,
-                            region_map, render_svg, run_realcase_crosscheck,
-                            run_theorem_check)
+                            region_map, render_svg, run_theorem_check)
 
 AI = Alpha(1.0, 1.0)
 
@@ -39,6 +40,9 @@ def test_config_validation():
                              tolerances={"residual": 1e-10, "boundary": bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=AI, n_list=(5,), formats=("pdf",))
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(alpha=AI, n_list=(5,), shift=bad)
 
 
 def test_grid_spec():
@@ -91,6 +95,38 @@ def test_left_halfplane_count_reads_the_inclusion_disk(monkeypatch):
                                              samples_per_n=0))
     assert rep.records[0].left_halfplane_violations == 1
     assert not rep.passed
+
+
+def test_an_open_loop_fails_the_run(monkeypatch):
+    # distances to an open InE arc measure to its ends, not to the loop
+    trace = hypzero.verify.trace_level_curve
+
+    def opened(alpha, **kwargs):
+        curve = trace(alpha, **kwargs)
+        return dataclasses.replace(curve, arcs=tuple(
+            dataclasses.replace(arc, closed=False) for arc in curve.arcs))
+
+    monkeypatch.setattr(hypzero.verify, "trace_level_curve", opened)
+    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6, 12),
+                                             samples_per_n=1))
+    assert all(rec.zeros is not None and rec.region_violations == 0
+               and all(s.split_cancels for s in rec.samples)
+               for rec in rep.records)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("av", [(8.0, 0.0), (8.0, 2.0), (12.0, 0.0),
+                                (20.0, -5.0), (2.0, 8.0), (1.0, 12.0)])
+def test_large_parameters_keep_the_kappa_law(av):
+    # sqrt(n) * max distance tends to kappa sqrt|alpha| / |alpha + 1|^(3/2);
+    # at n = 120 it lies 4.2-5.3% below, against 8% allowed
+    a = Alpha(*av)
+    rep = run_theorem_check(ExperimentConfig(alpha=a, n_list=(15, 120),
+                                             samples_per_n=1))
+    assert rep.passed
+    predicted = 0.63666 * abs(a.value) ** 0.5 / abs(a.value + 1.0) ** 1.5
+    assert math.sqrt(120) * rep.records[-1].max_distance == pytest.approx(
+        predicted, rel=0.08)
 
 
 def test_single_root_record():
@@ -165,18 +201,39 @@ def test_render_svg_draws_about_one_vertex_per_pixel():
 
 
 def test_realcase_shift_keeps_curve():
-    r0 = run_realcase_crosscheck(1.0, 0.0, (8,))
-    r3 = run_realcase_crosscheck(1.0, 3.0, (8,))
+    r0 = run_theorem_check(ExperimentConfig(Alpha(1.0), (8,), shift=0.0))
+    r3 = run_theorem_check(ExperimentConfig(Alpha(1.0), (8,), shift=3.0))
     assert r0.curve.constant == pytest.approx(r3.curve.constant)
     # same limiting curve: compare a few arc extremes
     arc0 = [a for a in r0.curve.arcs if a.region == "InE"][0]
     arc3 = [a for a in r3.curve.arcs if a.region == "InE"][0]
     assert max(p.real for p in arc0.points) == pytest.approx(
         max(p.real for p in arc3.points), abs=1e-6)
+    # k = 0 is refused by Alpha (test_kernel::test_alpha_requires_positive_eta)
     with pytest.raises(ConfigError):
-        run_realcase_crosscheck(0.0, 0.0, (5,))
-    with pytest.raises(ConfigError):
-        run_realcase_crosscheck(1.0, -1.0, (5,))
+        ExperimentConfig(Alpha(1.0), (5,), shift=-1.0)
+
+
+@pytest.mark.parametrize("alpha, shift", [
+    (Alpha(1.0), 2.0), (Alpha(1.0), 0.5), (Alpha(2.0), 3.0),
+    (Alpha(1.0, 1.0), 2.0)])
+def test_split_integrals_cancel_at_shifted_zeros(alpha, shift):
+    # at a zero of the member with b = alpha*n + 1 + l the Euler integral of
+    # t^(alpha*n + l) (1 - z t)^n vanishes, so its two contour pieces cancel;
+    # without the t^l factor they miss by a relative 0.36-0.85.  The bound
+    # 1e-12 was set before the run, which measured at most 4e-14
+    for n in (10, 20, 40):
+        zeros = find_roots(Polynomial(n, alpha, 1.0 + shift))
+        labels = [classify_region(z, alpha).label for z in zeros.zeros]
+        z = zeros.zeros[labels.index("InE")]
+        eps = 1e-4 * (1.0 + abs(1.0 / z))
+        i1 = hypzero.quadrature.descent_integral(n, alpha, z, eps, l=shift)
+        i2 = hypzero.quadrature.endpoint_integral(n, alpha, z, l=shift).integral
+        assert (abs(i1.value + i2.value) / max(abs(i1.value), abs(i2.value))
+                < 1e-12)
+        sample = hypzero.verify._diagnose_root(n, alpha, z, l=shift)
+        assert sample.split_cancels
+        assert abs(sample.asym_ratio - 1.0) < 0.1
 
 
 def test_real_parameter_distances_strictly_decrease():
@@ -228,17 +285,21 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["check", "--tol-boundary=nan"],
     ["check", "--tol-residual=nan"],
-    ["realcase", "--tol-residual=0"],
+    ["check", "--tol-residual=0"],
     ["region", "--tol-boundary=nan"],
     ["region", "--tol-boundary=-1"],
     ["region", "--tol-boundary=inf"],
     ["curve", "--tol-boundary=-1e-6"],
-    ["asym", "--tol-boundary=inf"]])
+    ["asym", "--tol-boundary=inf"],
+    ["check", "--shift=-1"],
+    ["check", "--shift=nan"],
+    ["check", "--shift=inf"]])
 def test_cli_rejects_a_tolerance_not_positive_and_finite(tmp_path, capsys, argv):
-    # the tolerances are checked before any work, so no degree list is needed
+    # the tolerances, and check's shift (finite and >= 0), are checked
+    # before any work, so no degree list is needed
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
-    assert "tol-" in capsys.readouterr().err
+    assert argv[1][2:].partition("=")[0] in capsys.readouterr().err
     assert not out.exists()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(argv[1].lstrip("-").replace("=", " = ") + "\n")
@@ -336,7 +397,7 @@ def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
 
 
 @pytest.mark.parametrize("command, fmt", [
-    ("check", "pdf"), ("realcase", "pdf"), ("region", "pdf"),
+    ("check", "pdf"), ("region", "pdf"),
     ("curve", "csv"), ("curve", "pdf"), ("asym", "svg")])
 def test_cli_rejects_formats_it_cannot_write(tmp_path, command, fmt):
     out = tmp_path / "o8"
@@ -369,15 +430,14 @@ def test_cli_config_file_precedence(tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     ("check", "grid", "0:1:0:1:2"), ("check", "k", "3"), ("check", "z", "1,2"),
-    ("curve", "grid", "0:1:0:1:2"), ("realcase", "z", "1,2"),
+    ("curve", "grid", "0:1:0:1:2"),
     ("region", "n", "5"), ("curve", "n", "5"),
     ("region", "tol-residual", "1e-3"), ("curve", "tol-residual", "1e-3"),
     ("asym", "tol-residual", "1e-3"),
-    ("realcase", "alpha-re", "2"), ("realcase", "alpha-im", "5")])
+    ("region", "shift", "2"), ("curve", "shift", "2"), ("asym", "shift", "2")])
 def test_cli_rejects_an_option_the_subcommand_lacks(tmp_path, command, key, value):
-    # only region reads a grid, only realcase k and l (and no alpha), only
-    # asym z; region and curve solve nothing, and only check and realcase
-    # certify residuals
+    # only region reads a grid, only asym z; region and curve solve
+    # nothing, only check certifies residuals, and only check shifts b
     out = tmp_path / "o9"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
@@ -389,9 +449,15 @@ def test_cli_rejects_an_option_the_subcommand_lacks(tmp_path, command, key, valu
 
 
 def test_realcase_cli(tmp_path):
+    # realcase --k K --l L is now check --alpha-re K --shift L
     out = str(tmp_path / "o6")
-    code = main(["realcase", "--k", "1", "--l", "0", "--n", "6,10",
+    code = main(["check", "--alpha-re", "1", "--shift", "0", "--n", "6,10",
                  "--out", out, "--format", "json,csv"])
     assert code == 0
     rep = json.loads((tmp_path / "o6" / "report.json").read_text())
     assert rep["config"]["shift"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        main(["realcase", "--k", "1", "--l", "0", "--n", "6,10",
+              "--out", str(tmp_path / "o7")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o7").exists()
