@@ -4,7 +4,7 @@ degree: exact polynomial construction, contour integrals, steepest-path
 tracing, region classification, level-curve tracing, certified root
 finding, and the experiment runner tying them together."""
 
-from .kernel import Alpha, BranchTrackedValue, Precision
+from .kernel import Alpha, BranchTrackedValue
 from .hyperpoly import Polynomial, coefficients, evaluate, real_family_coefficients
 from .saddle import SaddleData, descent_integral_estimate, level_constant, saddle_point
 from .flows import PathTrace, RegionLabel, StopRule, classify_region, \

@@ -20,15 +20,13 @@ import cmath
 import math
 import sys
 
-from . import quadrature
 from .errors import ConfigError, HypzeroError, RegionError
 from .flows import IN_E, classify_region, separatrices
 from .kernel import Alpha
 from .levelcurve import trace_level_curve
-from .saddle import descent_integral_estimate
-from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec, document,
-                     emit, emit_report, region_map, render_region_svg,
-                     render_svg, run_theorem_check)
+from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec,
+                     diagnose_root, document, emit, emit_report, region_map,
+                     render_region_svg, render_svg, run_theorem_check)
 
 
 def _read_config_file(args) -> None:
@@ -77,8 +75,9 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         n_list = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"bad degree list {text!r}") from None
-    if any(n < 1 for n in n_list):
-        raise ConfigError(f"degrees must be positive, got {text!r}")
+    if not n_list or any(n < 1 for n in n_list):
+        raise ConfigError(f"degrees must be a nonempty list of positive "
+                          f"integers, got {text!r}")
     return n_list
 
 
@@ -183,14 +182,9 @@ def _cmd_asym(args) -> int:
             try:
                 if refusal is not None:
                     raise refusal
-                i1 = quadrature.descent_integral(
-                    n, alpha, z, epsilon=1e-4 * (1.0 + abs(1.0 / z)),
-                    check_region=False)
-                est = descent_integral_estimate(n, z, alpha)
-                k = quadrature.endpoint_integral(n, alpha, z,
-                                                 check_region=False).k_value
-                row["ratio"] = math.exp(i1.log_modulus - est.log_modulus)
-                row["k_nth_root"] = abs(k) ** (1.0 / n)
+                sample = diagnose_root(n, alpha, z)
+                row["ratio"] = sample.asym_ratio
+                row["k_nth_root"] = sample.k_nth_root
                 print(f"z={z:.6g} n={n}: |descent|/|leading| = "
                       f"{row['ratio']:.6f}, |K|^(1/n) = {row['k_nth_root']:.6f}")
             except HypzeroError as exc:

@@ -137,9 +137,10 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
     def unit_field(t: complex) -> complex:
         d = phase_derivative(t, z, alpha)
         ad = abs(d)
-        if ad == 0.0:
-            raise TracingError("trace_flow: stationary point hit exactly",
-                               {"t": t})
+        # zero at the saddle; overflowed to nan for z far from the origin
+        if not 0.0 < ad < math.inf:
+            raise TracingError("trace_flow: phase derivative zero or not "
+                               "finite", {"t": t})
         return sign * d.conjugate() / ad
 
     br = phase(start, z, alpha, branch=initial_branch)

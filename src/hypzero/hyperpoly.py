@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError
-from .kernel import Alpha, DOUBLE, Precision
+from .kernel import Alpha
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ def pfaff_coefficients_mp(n: int, alpha_value: complex, b_offset: float = 1.0):
     return d
 
 
-def evaluate(p: Polynomial, z: complex, precision: Precision = DOUBLE) -> complex:
+def evaluate(p: Polynomial, z: complex, bits: int = 53) -> complex:
     """Horner evaluation of ``p`` at ``z`` on coefficients rebuilt from
-    (n, b) at ``precision.bits``, so a wide precision resolves values far
-    below the double cancellation floor."""
-    with mp.workprec(precision.bits):
+    (n, b) at ``bits`` of mantissa (53 is double), so a wide precision
+    resolves values far below the double cancellation floor."""
+    with mp.workprec(bits):
         zm = mp.mpc(z)
         acc = mp.mpc(0)
         for c in reversed(coefficients_mp(p.degree, p.alpha.value, p.b_offset)):

@@ -166,19 +166,3 @@ def phase_second_derivative(t: complex, z: complex, alpha: Alpha) -> complex:
         raise SingularPointError("phase_second_derivative: pole at t in {0, 1/z}")
     return -a / (t * t) - (z * z) / (u * u)
 
-
-@dataclass(frozen=True)
-class Precision:
-    """Working precision of :func:`hyperpoly.evaluate`.
-
-    ``bits`` is the mantissa width of the mpmath evaluation; 53 is double.
-    """
-
-    bits: int = 53
-
-    def __post_init__(self):
-        if self.bits < 24:
-            raise DomainError(f"precision below 24 bits is not supported: {self.bits}")
-
-
-DOUBLE = Precision()

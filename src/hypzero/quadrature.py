@@ -92,22 +92,9 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _gk15(f, a: float, b: float) -> tuple[complex, float]:
-    """One Gauss-Kronrod panel, one node at a time: (K15 value, error)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    gauss = kronrod = 0j
-    for x, wk, wg in _GK15:
-        fx = f(mid + half * x) + f(mid - half * x) if x else f(mid)
-        kronrod += wk * fx
-        gauss += wg * fx
-    err = abs(half) * min((200.0 * abs(kronrod - gauss)) ** 1.5,
-                          abs(kronrod - gauss) * 200.0)
-    return kronrod * half, err
-
-
 def _gk15_array(f, a: float, b: float):
-    """:func:`_gk15` over arrays: ``f`` maps the nodes to its last axis."""
+    """One GK15 panel on [a, b], (K15 value, error): ``f`` maps an array of
+    nodes to its last axis, so one call integrates a batch of rows."""
     half = 0.5 * (b - a)
     fx = f(0.5 * (a + b) + half * _X15)
     # einsum, not BLAS: its first matrix-vector product adds 0.25 MB of memory
@@ -117,17 +104,17 @@ def _gk15_array(f, a: float, b: float):
 
 
 def _adaptive(f, a: float, b: float, tol_abs: float,
-              max_panels: int = 4000, rule=_gk15) -> tuple[complex, float]:
+              max_panels: int = 4000) -> tuple[complex, float]:
     """Bisection-adaptive GK15 for a complex integrand on [a, b]."""
-    val, err = rule(f, a, b)
+    val, err = _gk15_array(f, a, b)
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
     panels = 1
     while total_err > tol_abs and panels < max_panels:
         neg, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = rule(f, lo, mid)
-        v2, e2 = rule(f, mid, hi)
+        v1, e1 = _gk15_array(f, lo, mid)
+        v2, e2 = _gk15_array(f, mid, hi)
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
@@ -149,18 +136,18 @@ def euler_integral(n: int, alpha: Alpha, z: complex) -> ContourIntegral:
     decay = alpha.eta * n + 1.0
     grow = n * math.log1p(abs(z))
 
-    def f_log(u: float) -> complex:
+    def f_log(u):
         # for integer n the integrand is entire; a node exactly on the zero
-        # of (1 - z t) is the removable value 0 (flagged as -inf here)
-        w = 1.0 - z * cmath.exp(-u)
-        if w == 0:
-            return complex(-math.inf, 0.0)
-        log_w = cmath.log(w) if n else 0j
-        return (-(a * n + 1.0) * u) + n * log_w
+        # of (1 - z t) is the removable value 0 (flagged as -inf here); a
+        # complex z keeps log(1 - z t) complex where a real z > 1 turns it < 0
+        w = 1.0 - complex(z) * np.exp(-u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = n * np.log(w)
+        return np.where(w == 0, -np.inf, -(a * n + 1.0) * u + log_w)
 
     def sample_shift(u_hi: float) -> float:
-        vals = [f_log(u_hi * j / 64.0).real for j in range(65)]
-        return max(v for v in vals if v > -math.inf)
+        vals = f_log(u_hi * np.arange(65) / 64.0).real
+        return vals[vals > -math.inf].max()
 
     # exponent shift keeps the scaled integrand O(1); the truncation point
     # pushes even the crude tail envelope (1+|z|)^n e^(-decay u) below the
@@ -170,9 +157,9 @@ def euler_integral(n: int, alpha: Alpha, z: complex) -> ContourIntegral:
     u_max = max(u_max, (grow - shift + 42.0) / decay)
     shift = max(shift, sample_shift(u_max))
 
-    def f(u: float) -> complex:
+    def f(u):
         w = f_log(u) - shift
-        return cmath.exp(w) if w.real > -745.0 else 0j
+        return np.where(w.real < -745.0, 0j, np.exp(w))
 
     tol = max(1e-12 * u_max, 1e-280)
     val, err = _adaptive(f, 0.0, u_max, tol)
@@ -211,8 +198,7 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
     v, e = _gk15_array(f, 0.0, 1.0)
     for i in np.flatnonzero(e > 1e-15 * np.maximum(1.0, np.abs(v))):
         v[i], e[i] = _adaptive(lambda s, i=i: f(s, i), 0.0, 1.0,
-                               max(1e-16, 0.05 * e[i]), max_panels=64,
-                               rule=_gk15_array)
+                               max(1e-16, 0.05 * e[i]), max_panels=64)
     length = np.abs(seg[:, 0])
     # scaled integrand is at most ~1 (the shift is its contour maximum); the
     # roundoff floor grows with n + l because the exponent amplifies phase

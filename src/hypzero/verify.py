@@ -13,6 +13,7 @@ timestamps, so identical configurations produce bit-identical JSON.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -199,17 +200,22 @@ def _sample_indices(count: int, wanted: int) -> list[int]:
     return [round(i * (count - 1) / (wanted - 1)) for i in range(wanted)]
 
 
-def _diagnose_root(n: int, alpha: Alpha, z: complex, *,
-                   l: float = 0) -> RootSample:
+def diagnose_root(n: int, alpha: Alpha, z: complex, *,
+                  l: float = 0) -> RootSample:
+    """Split-integral diagnostics at ``z``, which the caller classified InE;
+    the cancellation test runs in log scale, valid beyond double range."""
     eps = 1e-4 * (1.0 + abs(1.0 / z))
     i1 = quadrature.descent_integral(n, alpha, z, epsilon=eps,
                                      check_region=False, l=l)
     i2 = quadrature.endpoint_integral(n, alpha, z, check_region=False, l=l)
     est = descent_integral_estimate(n, z, alpha, l=l)
-    split = abs(i1.value + i2.integral.value) if (
-        abs(i1.log_modulus) < 700 and abs(i2.integral.log_modulus) < 700) else None
-    budget = math.exp(min(i1.abs_error_bound, 700.0)) + math.exp(
-        min(i2.integral.abs_error_bound, 700.0))
+    # log|I1 + I2|, summed with the larger piece scaled to modulus 1
+    pieces = (i1, i2.integral)
+    top = max(c.log_modulus for c in pieces)
+    log_split = top + quadrature._log_abs(sum(
+        cmath.exp(complex(c.log_modulus - top, c.phase)) for c in pieces))
+    budget = quadrature._log_add(i1.abs_error_bound,
+                                 i2.integral.abs_error_bound)
     return RootSample(
         z=z,
         descent_log_mod=i1.log_modulus,
@@ -219,7 +225,7 @@ def _diagnose_root(n: int, alpha: Alpha, z: complex, *,
         one_minus_z_abs=abs(1.0 - z),
         asym_ratio=math.exp(i1.log_modulus - est.log_modulus),
         k_nth_root=abs(i2.k_value) ** (1.0 / n),
-        split_cancels=(split is None or split <= budget),
+        split_cancels=log_split <= budget,
     )
 
 
@@ -270,8 +276,8 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
             for i in _sample_indices(len(in_e_idx), config.samples_per_n):
                 z = zeros.zeros[in_e_idx[i]]
                 try:
-                    samples.append(_diagnose_root(n, config.alpha, z,
-                                                  l=config.shift))
+                    samples.append(diagnose_root(n, config.alpha, z,
+                                                 l=config.shift))
                 except HypzeroError as exc:
                     flags.append(f"sample z={z:.6g}: {exc}")
         except HypzeroError as exc:

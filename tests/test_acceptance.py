@@ -12,7 +12,7 @@ import pytest
 
 from hypzero.flows import IN_E, classify_region
 from hypzero.hyperpoly import coefficients, coefficients_exact, evaluate
-from hypzero.kernel import Alpha, Precision
+from hypzero.kernel import Alpha
 from hypzero.quadrature import (descent_integral, endpoint_integral,
                                 euler_integral)
 from hypzero.saddle import descent_integral_estimate, level_constant
@@ -70,7 +70,6 @@ def test_criterion_01_coefficient_oracle():
 
 
 def test_criterion_02_integral_identity():
-    ext = Precision(bits=220)
     grid = [complex(re, im)
             for re in (0.3, 0.6, 0.9, 1.2, 1.5)
             for im in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -81,7 +80,7 @@ def test_criterion_02_integral_identity():
             pref = a.value * n + 1.0
             for z in grid:
                 lhs = euler_integral(n, a, z).value * pref
-                rhs = evaluate(p, z, ext)
+                rhs = evaluate(p, z, bits=220)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
     _report(2, "Euler integral matches polynomial (rel 1e-8)",
             worst <= 1e-8, f"worst rel {worst:.2e}")

@@ -58,6 +58,8 @@ _CONFIG = st.lists(st.tuples(
 @example(["check", "--alpha-re=1e-30", "--n=3"], [])
 @example(["check", "--alpha-re=1", "--shift=2", "--n=6", "--alpha-im=5"], [])
 @example(["realcase", "--k=1", "--l=2", "--n=6"], [])
+@example(["asym", "--z=1e300,1e300", "--n=5"], [])
+@example(["region", "--grid=1e300:1.5e300:1e300:1.5e300:1"], [])
 @settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_ends_in_an_exit_code(tmp_path, argv, config):

@@ -8,7 +8,7 @@ from hypzero.errors import DomainError, HypzeroError
 from hypzero.hyperpoly import (coefficients, coefficients_exact,
                                coefficients_mp, evaluate,
                                pfaff_coefficients_mp, real_family_coefficients)
-from hypzero.kernel import Alpha, Precision
+from hypzero.kernel import Alpha
 from hypzero.roots import find_roots
 
 
@@ -83,7 +83,7 @@ def test_extended_evaluation_resolves_double_cancellation():
     # high-precision series sum
     n, a, z = 30, Alpha(1.0, 1.0), 0.9 + 0.1j
     p = coefficients(n, a)
-    got = evaluate(p, z, Precision(bits=220))
+    got = evaluate(p, z, bits=220)
     with mp.workprec(300):
         raw = coefficients_mp(n, a.value)
         want = mp.mpc(0)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hypzero.errors import DomainError, SingularPointError, TracingError
 from hypzero.flows import DESCENT, saddle_directions, trace_flow
-from hypzero.kernel import (Alpha, Precision, continued_log, phase,
-                            phase_derivative, phase_parts,
-                            phase_second_derivative, principal_log)
+from hypzero.kernel import (Alpha, continued_log, phase, phase_derivative,
+                            phase_parts, phase_second_derivative,
+                            principal_log)
 from hypzero.saddle import saddle_point
 
 
@@ -165,11 +165,6 @@ def test_phase_continuation_around_origin():
     assert br.value - start.value == pytest.approx(2j * math.pi * a.value,
                                                    abs=1e-9)
     assert br.parts[0].imag == pytest.approx(2.0 * math.pi)
-
-
-def test_precision_below_24_bits_rejected():
-    with pytest.raises(DomainError):
-        Precision(bits=8)
 
 
 @functools.cache

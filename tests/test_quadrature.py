@@ -5,7 +5,7 @@ import pytest
 
 from hypzero.errors import DomainError, RegionError
 from hypzero.hyperpoly import coefficients, evaluate
-from hypzero.kernel import Alpha, Precision
+from hypzero.kernel import Alpha
 from hypzero.quadrature import (_trace_to_inverse, descent_integral,
                                 endpoint_integral, euler_integral)
 from hypzero.roots import find_roots
@@ -46,7 +46,7 @@ def test_euler_matches_polynomial_sample():
                       (30, AI, 0.9 + 0.1j)):
         ci = euler_integral(n, a, z)
         lhs = ci.value * (a.value * n + 1.0)
-        rhs = evaluate(coefficients(n, a), z, Precision(bits=200))
+        rhs = evaluate(coefficients(n, a), z, bits=200)
         assert abs(lhs - rhs) <= abs(rhs) * 1e-10
 
 

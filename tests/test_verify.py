@@ -231,9 +231,17 @@ def test_split_integrals_cancel_at_shifted_zeros(alpha, shift):
         i2 = hypzero.quadrature.endpoint_integral(n, alpha, z, l=shift).integral
         assert (abs(i1.value + i2.value) / max(abs(i1.value), abs(i2.value))
                 < 1e-12)
-        sample = hypzero.verify._diagnose_root(n, alpha, z, l=shift)
+        sample = hypzero.verify.diagnose_root(n, alpha, z, l=shift)
         assert sample.split_cancels
         assert abs(sample.asym_ratio - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("n", [40, 200, 1000])
+def test_split_does_not_cancel_away_from_a_zero(n):
+    # 1.2+0.3i is no zero, so the pieces differ by far more than their error
+    # budgets; at n = 1000 both log-moduli pass -700, beyond double range
+    sample = hypzero.verify.diagnose_root(n, Alpha(1.0, 1.0), 1.2 + 0.3j)
+    assert not sample.split_cancels
 
 
 def test_real_parameter_distances_strictly_decrease():
@@ -264,6 +272,7 @@ def test_cli_exit_codes(tmp_path):
     assert os.path.exists(os.path.join(out, "report.json"))
     assert main(["check", "--alpha-re", "-2"]) == 2
     assert main(["check", "--alpha-re", "1", "--n", "9,5"]) == 2
+    assert main(["asym", "--n", ",", "--out", out]) == 2
     cfg = tmp_path / "hypzero.cfg"
     cfg.write_text("precision = extended:200\n")
     assert main(["check", "--alpha-re", "1", "--config", str(cfg)]) == 2
