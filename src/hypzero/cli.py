@@ -9,8 +9,9 @@ Subcommands:
 * ``asym``   -- table of descent-integral / leading-term ratios
 
 Options can also come from a flat ``key = value`` config file whose keys are
-the subcommand's options; precedence is command line > file > defaults.  Exit codes: 0 all checks passed, 1 checks
-ran with failures, 2 configuration error.
+the subcommand's options; precedence is command line > file > defaults, and
+one parser per option reads the text from any of the three.  Exit codes: 0
+all checks passed, 1 checks ran with failures, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec,
 
 def _read_config_file(args) -> None:
     """Fill the options left unset on the command line from ``args.config``,
-    whose keys must be options of the subcommand."""
+    whose keys must be options of the subcommand; values stay text."""
     path = args.config
-    keys = {dest.replace("_", "-") for dest in vars(args)} - {
-        "command", "handler", "config"}
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -47,7 +46,7 @@ def _read_config_file(args) -> None:
                         f"{path}:{line_no}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in keys:
+                if key not in args.options:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as exc:
@@ -56,18 +55,6 @@ def _read_config_file(args) -> None:
         dest = key.replace("-", "_")
         if getattr(args, dest) is None:
             setattr(args, dest, val)
-
-
-def _merged(args, key: str, cast=str, default=None):
-    # an option the subcommand lacks reads as unset
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        return default
-    try:
-        return cast(value)
-    except ValueError:
-        # command-line values are cast by argparse already
-        raise ConfigError(f"{args.config}: bad {key} {value!r}") from None
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -79,66 +66,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"degrees must be a nonempty list of positive "
                           f"integers, got {text!r}")
     return n_list
-
-
-def _common_settings(args):
-    try:
-        alpha = Alpha(_merged(args, "alpha-re", float, 1.0),
-                      _merged(args, "alpha-im", float, 0.0))
-    except HypzeroError as exc:
-        raise ConfigError(str(exc)) from None
-    out_dir = _merged(args, "out", str, "out")
-    formats = tuple((_merged(args, "format", str, "json")).split(","))
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key in ("residual", "boundary"):
-        value = _merged(args, f"tol-{key}", float, tolerances[key])
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"tol-{key} must be positive and finite, got {value!r}")
-        tolerances[key] = value
-    return alpha, out_dir, formats, tolerances
-
-
-def _cmd_check(args) -> int:
-    alpha, out_dir, formats, tolerances = _common_settings(args)
-    n_text = _merged(args, "n", str, "10,20,40")
-    config = ExperimentConfig(alpha=alpha, n_list=_parse_n_list(n_text),
-                              tolerances=tolerances, formats=formats,
-                              shift=_merged(args, "shift", float, 0.0))
-    report = run_theorem_check(config)
-    emit_report(report, out_dir, formats)
-    print(f"check: wrote {out_dir}; passed={report.passed}")
-    return 0 if report.passed else 1
-
-
-def _cmd_region(args) -> int:
-    alpha, out_dir, formats, tolerances = _common_settings(args)
-    grid_text = _merged(args, "grid")
-    grid = GridSpec.parse(grid_text) if grid_text else GridSpec(
-        -1.0, 2.0, -1.5, 1.5, 20)
-    rows = region_map(alpha, grid, boundary_tol=tolerances["boundary"])
-    bad = sum(1 for r in rows if r["label"].startswith("Error"))
-    emit(out_dir, formats, {
-        "json": lambda: [("region.json", document(
-            alpha, grid=[grid.re0, grid.re1, grid.im0, grid.im1, grid.steps],
-            points=rows))],
-        "csv": lambda: [("region.csv", [("re", "im", "label", "margin"), *(
-            (*r["z"], r["label"], r["margin"]) for r in rows)])],
-        "svg": lambda: [("region.svg", render_region_svg(
-            rows, grid, separatrices(alpha)))]})
-    print(f"region: {len(rows)} points, {bad} errors; wrote {out_dir}")
-    return 0 if bad == 0 else 1
-
-
-def _cmd_curve(args) -> int:
-    alpha, out_dir, formats, tolerances = _common_settings(args)
-    curve = trace_level_curve(alpha, boundary_tol=tolerances["boundary"])
-    emit(out_dir, formats, {
-        "json": lambda: [("curve.json", document(
-            alpha, curve=curve.to_json_dict()))],
-        "svg": lambda: [("curve.svg", render_svg(curve, (), ()))]})
-    print(f"curve: {len(curve.arcs)} arcs at constant {curve.constant:.8g}; "
-          f"wrote {out_dir}")
-    return 0
 
 
 def _parse_points(text: str) -> list[complex]:
@@ -160,24 +87,112 @@ def _parse_points(text: str) -> list[complex]:
     return pts
 
 
-def _cmd_asym(args) -> int:
-    alpha, out_dir, formats, tolerances = _common_settings(args)
-    n_text = _merged(args, "n", str, "10,20,40")
-    z_text = _merged(args, "z", str, "1.2,0.3")
-    points = _parse_points(z_text)
-    n_list = _parse_n_list(n_text)
+def _parse_tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
+
+
+def _parse_formats(text: str) -> tuple[str, ...]:
+    formats = tuple(text.split(","))
+    if not set(formats) <= {"json", "csv", "svg"}:
+        raise ValueError(text)
+    return formats
+
+
+# each option's parser, its default as text, and its help
+_OPTIONS = {
+    "alpha-re": (float, "1", "real part of alpha, > 0"),
+    "alpha-im": (float, "0", "imaginary part of alpha"),
+    "n": (_parse_n_list, "10,20,40", "comma-separated degree list"),
+    "tol-residual": (_parse_tolerance, repr(DEFAULT_TOLERANCES["residual"]),
+                     "residual bound of each certified zero"),
+    "tol-boundary": (_parse_tolerance, repr(DEFAULT_TOLERANCES["boundary"]),
+                     "margin below which a point is on the region boundary"),
+    "grid": (GridSpec.parse, "-1:2:-1.5:1.5:20", "re0:re1:im0:im1:steps"),
+    "shift": (float, "0", "l in b = alpha*n + 1 + l, finite and >= 0"),
+    "z": (_parse_points, "1.2,0.3", "semicolon list of re,im samples"),
+    "out": (str, "out", "output directory"),
+    "format": (_parse_formats, "json", "comma list from json,csv,svg"),
+}
+
+
+def _settings(args) -> dict:
+    """Each option of the subcommand parsed by its own parser, from the
+    command line, else the config file, else the default; the two alpha
+    parts become ``alpha``."""
+    settings = {}
+    for key in args.options:
+        parse, default, _ = _OPTIONS[key]
+        text = getattr(args, key.replace("-", "_"))
+        if text is None:
+            text = default
+        try:
+            settings[key] = parse(text)
+        except ValueError:
+            raise ConfigError(f"bad {key} {text!r}") from None
+    try:
+        settings["alpha"] = Alpha(settings.pop("alpha-re"),
+                                  settings.pop("alpha-im"))
+    except HypzeroError as exc:
+        raise ConfigError(str(exc)) from None
+    return settings
+
+
+def _cmd_check(s: dict) -> int:
+    config = ExperimentConfig(
+        alpha=s["alpha"], n_list=s["n"], shift=s["shift"],
+        tolerances={"residual": s["tol-residual"],
+                    "boundary": s["tol-boundary"]})
+    report = run_theorem_check(config)
+    emit_report(report, s["out"], s["format"])
+    print(f"check: wrote {s['out']}; passed={report.passed}")
+    return 0 if report.passed else 1
+
+
+def _cmd_region(s: dict) -> int:
+    alpha, grid = s["alpha"], s["grid"]
+    rows = region_map(alpha, grid, boundary_tol=s["tol-boundary"])
+    bad = sum(1 for r in rows if r["label"].startswith("Error"))
+    emit(s["out"], s["format"], {
+        "json": lambda: [("region.json", document(
+            alpha, grid=[grid.re0, grid.re1, grid.im0, grid.im1, grid.steps],
+            points=rows))],
+        "csv": lambda: [("region.csv", [("re", "im", "label", "margin"), *(
+            (*r["z"], r["label"], r["margin"]) for r in rows)])],
+        "svg": lambda: [("region.svg", render_region_svg(
+            rows, grid, separatrices(alpha)))]})
+    print(f"region: {len(rows)} points, {bad} errors; wrote {s['out']}")
+    return 0 if bad == 0 else 1
+
+
+def _cmd_curve(s: dict) -> int:
+    alpha = s["alpha"]
+    curve = trace_level_curve(alpha, boundary_tol=s["tol-boundary"])
+    emit(s["out"], s["format"], {
+        "json": lambda: [("curve.json", document(
+            alpha, curve=curve.to_json_dict()))],
+        "svg": lambda: [("curve.svg", render_svg(curve, (), ()))]})
+    print(f"curve: {len(curve.arcs)} arcs at constant {curve.constant:.8g}; "
+          f"wrote {s['out']}")
+    return 0
+
+
+def _cmd_asym(s: dict) -> int:
+    alpha = s["alpha"]
     rows = []
-    for z in points:
+    for z in s["z"]:
         # one classification per point; a refusal fills each of its rows
         refusal = None
         try:
             label = classify_region(z, alpha,
-                                    boundary_tol=tolerances["boundary"]).label
+                                    boundary_tol=s["tol-boundary"]).label
             if label != IN_E:
                 refusal = RegionError(f"descent_integral: z={z} classifies {label}")
         except HypzeroError as exc:
             refusal = exc
-        for n in n_list:
+        for n in s["n"]:
             row = {"z": [z.real, z.imag], "n": n}
             try:
                 if refusal is not None:
@@ -191,7 +206,7 @@ def _cmd_asym(args) -> int:
                 row["error"] = str(exc)
                 print(f"z={z:.6g} n={n}: error {exc}")
             rows.append(row)
-    emit(out_dir, formats, {
+    emit(s["out"], s["format"], {
         "json": lambda: [("asym.json", document(alpha, rows=rows))],
         "csv": lambda: [("asym.csv", [("re", "im", "n", "ratio", "k_nth_root"), *(
             (*r["z"], r["n"], r.get("ratio"), r.get("k_nth_root"))
@@ -199,28 +214,13 @@ def _cmd_asym(args) -> int:
     return 0 if all("error" not in r for r in rows) else 1
 
 
-# each subcommand's options, and the arguments of each option
-_OPTIONS = {
-    "config": dict(help="flat key = value config file"),
-    "alpha-re": dict(type=float),
-    "alpha-im": dict(type=float),
-    "n": dict(help="comma-separated degree list"),
-    "out": dict(help="output directory"),
-    "format": dict(help="comma list from json,csv,svg"),
-    "tol-residual": dict(type=float),
-    "tol-boundary": dict(type=float),
-    "grid": dict(help="re0:re1:im0:im1:steps"),
-    "shift": dict(type=float, help="l in b = alpha*n + 1 + l, finite and >= 0"),
-    "z": dict(help="semicolon list of re,im samples"),
-}
-_COMMON = ("config", "out", "format")
-_ALPHA = ("alpha-re", "alpha-im")
+# each subcommand's handler and options
+_COMMON = ("alpha-re", "alpha-im", "tol-boundary", "out", "format")
 _COMMANDS = {
-    "check": (_cmd_check, (*_ALPHA, "n", "tol-residual", "tol-boundary",
-                           "shift")),
-    "region": (_cmd_region, (*_ALPHA, "tol-boundary", "grid")),
-    "curve": (_cmd_curve, (*_ALPHA, "tol-boundary")),
-    "asym": (_cmd_asym, (*_ALPHA, "n", "tol-boundary", "z")),
+    "check": (_cmd_check, (*_COMMON, "n", "tol-residual", "shift")),
+    "region": (_cmd_region, (*_COMMON, "grid")),
+    "curve": (_cmd_curve, _COMMON),
+    "asym": (_cmd_asym, (*_COMMON, "n", "z")),
 }
 
 
@@ -230,11 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for zero clustering of a terminating "
                     "hypergeometric family")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, options) in _COMMANDS.items():
+    for name, (handler, options) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        for option in (*_COMMON, *options):
-            sub.add_argument(f"--{option}", default=None, **_OPTIONS[option])
-        sub.set_defaults(handler=fn)
+        sub.add_argument("--config", help="flat key = value file of options "
+                                          "left unset on the command line")
+        for option in options:
+            _, default, text = _OPTIONS[option]
+            sub.add_argument(f"--{option}", help=f"{text}; default {default}")
+        sub.set_defaults(handler=handler, options=options)
     return parser
 
 
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             _read_config_file(args)
-        return args.handler(args)
+        return args.handler(_settings(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -226,8 +226,7 @@ def _residual_bounds(p: Polynomial, zeros, radii) -> np.ndarray:
         return radii * np.exp(num - top).sum(axis=1) / np.exp(den - top).sum(axis=1)
 
 
-def find_roots(p: Polynomial, residual_tol: float = 1e-10,
-               seed: int = _JITTER_SEED) -> ZeroSet:
+def find_roots(p: Polynomial, residual_tol: float = 1e-10) -> ZeroSet:
     """All ``n`` zeros of ``p``, each certified in a disk of radius
     ``radii[i]``: one Aberth pass in double to ``2^-26``, then one in fixed
     point at the bits of :func:`_pfaff_basis` to ``2^-(margin/2)``, which
@@ -246,8 +245,9 @@ def find_roots(p: Polynomial, residual_tol: float = 1e-10,
     # fixed-point pass goes on while the roots migrate, which from n ~ 130
     # takes more than 25 sweeps without a halving of the largest update
     with np.errstate(all="ignore"):
-        current, sweeps_double = _aberth(_double_newton(q), _initial_circle(q, seed),
-                                         2.0 ** -26, stall=25)
+        current, sweeps_double = _aberth(
+            _double_newton(q), _initial_circle(q, _JITTER_SEED), 2.0 ** -26,
+            stall=25)
     if not np.all(np.isfinite(current)):
         raise DomainError(f"find_roots: at degree {n} the double Aberth pass "
                           "leaves the double range")

@@ -39,6 +39,7 @@ DEFAULT_TOLERANCES = {
     "residual": 1e-10,
     "boundary": 1e-6,
 }
+_SAMPLES_PER_N = 3      # zeros per degree receiving split-integral diagnostics
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,7 @@ class ExperimentConfig:
     alpha: Alpha
     n_list: tuple[int, ...]
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    formats: tuple[str, ...] = ("json",)
     shift: float = 0.0          # l in b = alpha*n + 1 + l, finite and >= 0
-    samples_per_n: int = 3      # zeros receiving split-integral diagnostics
 
     def __post_init__(self):
         if not self.n_list:
@@ -91,9 +90,6 @@ class ExperimentConfig:
             raise ConfigError("n_list must be strictly increasing")
         if not all(math.isfinite(v) and v > 0 for v in self.tolerances.values()):
             raise ConfigError("all tolerances must be positive and finite")
-        for f in self.formats:
-            if f not in ("json", "csv", "svg"):
-                raise ConfigError(f"unknown output format {f!r}")
         if not (math.isfinite(self.shift) and self.shift >= 0):
             raise ConfigError(f"shift must be finite and >= 0, got {self.shift!r}")
 
@@ -102,9 +98,7 @@ class ExperimentConfig:
             "alpha": [self.alpha.eta, self.alpha.zeta],
             "n_list": list(self.n_list),
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "formats": list(self.formats),
             "shift": self.shift,
-            "samples_per_n": self.samples_per_n,
         }
 
     def hash(self) -> str:
@@ -188,16 +182,11 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _build_polynomial(n: int, config: ExperimentConfig) -> Polynomial:
-    return Polynomial(n, config.alpha, 1.0 + config.shift)
-
-
-def _sample_indices(count: int, wanted: int) -> list[int]:
-    if count <= wanted:
+def _sample_indices(count: int) -> list[int]:
+    if count <= _SAMPLES_PER_N:
         return list(range(count))
-    if wanted <= 1:
-        return [count // 2] if wanted == 1 else []
-    return [round(i * (count - 1) / (wanted - 1)) for i in range(wanted)]
+    return [round(i * (count - 1) / (_SAMPLES_PER_N - 1))
+            for i in range(_SAMPLES_PER_N)]
 
 
 def diagnose_root(n: int, alpha: Alpha, z: complex, *,
@@ -253,8 +242,8 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
         region_bad = 0
         samples: list[RootSample] = []
         try:
-            p = _build_polynomial(n, config)
-            zeros = find_roots(p, residual_tol=config.tolerances["residual"])
+            zeros = find_roots(Polynomial(n, config.alpha, 1.0 + config.shift),
+                               residual_tol=config.tolerances["residual"])
             dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve)
             distances = tuple(float(d) for d in dists)
             cov = coverage_gap(zeros.zeros, curve)
@@ -273,7 +262,7 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
             labels = tuple(lab_list)
             margins = tuple(marg_list)
             in_e_idx = [i for i, l in enumerate(labels) if l == IN_E]
-            for i in _sample_indices(len(in_e_idx), config.samples_per_n):
+            for i in _sample_indices(len(in_e_idx)):
                 z = zeros.zeros[in_e_idx[i]]
                 try:
                     samples.append(diagnose_root(n, config.alpha, z,
@@ -314,14 +303,14 @@ def emit(out_dir: str, formats, writers: dict) -> list[str]:
     its ``(file name, content)`` pairs: a dict for JSON (dumped with sorted
     keys), a header row and rows of cells for CSV (strings as they are,
     ``None`` empty, anything else as its ``repr``), text for SVG.  Any other
-    requested format is a configuration error, raised before any writing.
+    requested format is a configuration error, raised before any writing,
+    and so is a directory or file that cannot be written.
     """
     for f in formats:
         if f not in writers:
             raise ConfigError(f"cannot write format {f!r}; this command "
                               f"writes {','.join(writers)}")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    files = []
     for f, write in writers.items():
         if f not in formats:
             continue
@@ -332,11 +321,15 @@ def emit(out_dir: str, formats, writers: dict) -> list[str]:
                 content = "".join(",".join(
                     "" if v is None else v if isinstance(v, str) else repr(v)
                     for v in row) + "\n" for row in content)
-            path = os.path.join(out_dir, name)
+            files.append((os.path.join(out_dir, name), content))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, content in files:
             with open(path, "w") as fh:
                 fh.write(content)
-            written.append(path)
-    return written
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir!r}: {exc}") from None
+    return [path for path, _ in files]
 
 
 def document(alpha: Alpha, **payload) -> dict:
@@ -345,9 +338,8 @@ def document(alpha: Alpha, **payload) -> dict:
 
 
 def emit_report(report: VerificationReport, out_dir: str,
-                formats=None) -> list[str]:
+                formats) -> list[str]:
     """Write the report files; returns the created paths."""
-    formats = tuple(formats) if formats is not None else report.config.formats
     return emit(out_dir, formats, {
         "json": lambda: [("report.json", report.to_json_dict())],
         "csv": lambda: [(f"zeros_n{rec.n}.csv", [

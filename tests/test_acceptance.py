@@ -42,7 +42,7 @@ def realcase_report():
 def complex_reports():
     out = {}
     for a in (AI, A2I):
-        cfg = ExperimentConfig(alpha=a, n_list=(15, 60), samples_per_n=2)
+        cfg = ExperimentConfig(alpha=a, n_list=(15, 60))
         out[(a.eta, a.zeta)] = run_theorem_check(cfg)
     return out
 
@@ -238,7 +238,7 @@ def test_criterion_10_level_constants():
 
 
 def test_criterion_11_determinism(complex_reports):
-    cfg = ExperimentConfig(alpha=AI, n_list=(15, 60), samples_per_n=2)
+    cfg = ExperimentConfig(alpha=AI, n_list=(15, 60))
     again = run_theorem_check(cfg)
     first = complex_reports[(AI.eta, AI.zeta)]
     _report(11, "re-running the complex case is bit-identical JSON",

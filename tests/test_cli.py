@@ -86,3 +86,15 @@ def test_tiny_parameter_is_refused_before_tracing(tmp_path, capsys, eta):
                  f"--out={tmp_path / 'out'}"]) == 1
     assert time.perf_counter() - start < 2.0
     assert "needs over 400000 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("check", ["default 10,20,40", "default 1e-10", "default 0", "default json"]),
+    ("region", ["default -1:2:-1.5:1.5:20", "default 1e-06", "default out"]),
+    ("asym", ["default 1.2,0.3", "default 1"])])
+def test_help_prints_each_default(capsys, command, defaults):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in defaults:
+        assert default in text

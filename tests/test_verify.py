@@ -23,8 +23,7 @@ AI = Alpha(1.0, 1.0)
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6, 12),
-                                              samples_per_n=2))
+    return run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6, 12)))
 
 
 def test_config_validation():
@@ -38,8 +37,6 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=AI, n_list=(5,),
                              tolerances={"residual": 1e-10, "boundary": bad})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(alpha=AI, n_list=(5,), formats=("pdf",))
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=AI, n_list=(5,), shift=bad)
@@ -75,8 +72,7 @@ def test_report_structure(small_report):
 def test_report_config_block(small_report):
     # the config block holds what a run reads, and nothing else
     config = small_report.to_json_dict()["config"]
-    assert set(config) == {"alpha", "n_list", "tolerances", "formats",
-                           "shift", "samples_per_n"}
+    assert set(config) == {"alpha", "n_list", "tolerances", "shift"}
     assert config["tolerances"] == {"boundary": 1e-6, "residual": 1e-10}
 
 
@@ -91,8 +87,7 @@ def test_left_halfplane_count_reads_the_inclusion_disk(monkeypatch):
                                    radii=(2e-9, *zs.radii[1:]))
 
     monkeypatch.setattr(hypzero.verify, "find_roots", straddling)
-    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6,),
-                                             samples_per_n=0))
+    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6,)))
     assert rep.records[0].left_halfplane_violations == 1
     assert not rep.passed
 
@@ -107,8 +102,7 @@ def test_an_open_loop_fails_the_run(monkeypatch):
             dataclasses.replace(arc, closed=False) for arc in curve.arcs))
 
     monkeypatch.setattr(hypzero.verify, "trace_level_curve", opened)
-    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6, 12),
-                                             samples_per_n=1))
+    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(6, 12)))
     assert all(rec.zeros is not None and rec.region_violations == 0
                and all(s.split_cancels for s in rec.samples)
                for rec in rep.records)
@@ -121,8 +115,7 @@ def test_large_parameters_keep_the_kappa_law(av):
     # sqrt(n) * max distance tends to kappa sqrt|alpha| / |alpha + 1|^(3/2);
     # at n = 120 it lies 4.2-5.3% below, against 8% allowed
     a = Alpha(*av)
-    rep = run_theorem_check(ExperimentConfig(alpha=a, n_list=(15, 120),
-                                             samples_per_n=1))
+    rep = run_theorem_check(ExperimentConfig(alpha=a, n_list=(15, 120)))
     assert rep.passed
     predicted = 0.63666 * abs(a.value) ** 0.5 / abs(a.value + 1.0) ** 1.5
     assert math.sqrt(120) * rep.records[-1].max_distance == pytest.approx(
@@ -130,8 +123,7 @@ def test_large_parameters_keep_the_kappa_law(av):
 
 
 def test_single_root_record():
-    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(1,),
-                                             samples_per_n=1))
+    rep = run_theorem_check(ExperimentConfig(alpha=AI, n_list=(1,)))
     rec = rep.records[0]
     want = (AI.value + 2) / (AI.value + 1)
     assert rec.zeros.zeros[0] == pytest.approx(want, rel=1e-12)
@@ -146,7 +138,7 @@ def test_json_round_trip(small_report):
 
 
 def test_determinism_small():
-    cfg = ExperimentConfig(alpha=AI, n_list=(5, 9), samples_per_n=1)
+    cfg = ExperimentConfig(alpha=AI, n_list=(5, 9))
     r1 = run_theorem_check(cfg)
     r2 = run_theorem_check(cfg)
     assert r1.to_json() == r2.to_json()
@@ -246,8 +238,7 @@ def test_split_does_not_cancel_away_from_a_zero(n):
 
 def test_real_parameter_distances_strictly_decrease():
     rep = run_theorem_check(ExperimentConfig(alpha=Alpha(1.0),
-                                             n_list=(10, 20, 40),
-                                             samples_per_n=0))
+                                             n_list=(10, 20, 40)))
     maxima = [r.max_distance for r in rep.records]
     assert maxima[0] > maxima[1] > maxima[2]
     gaps = [r.coverage_gap for r in rep.records]
@@ -317,11 +308,18 @@ def test_cli_rejects_a_tolerance_not_positive_and_finite(tmp_path, capsys, argv)
 
 
 def test_cli_rejects_a_bad_number_in_the_config_file(tmp_path, capsys):
+    # one parser per option: a bad value fails alike from either source
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha-re = one\n")
-    assert main(["check", "--config", str(cfg), "--n", "5",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "alpha-re" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for key, value in (("alpha-re", "one"), ("tol-boundary", "abc")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["check", "--config", str(cfg), "--n", "5",
+                     "--out", str(out)]) == 2
+        assert f"configuration error: bad {key}" in capsys.readouterr().err
+        assert main(["check", f"--{key}={value}", "--n", "5",
+                     "--out", str(out)]) == 2
+        assert f"configuration error: bad {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_nonpositive_degrees(tmp_path):
@@ -406,15 +404,43 @@ def test_cli_asym_error_row_leaves_cells_empty(tmp_path):
 
 
 @pytest.mark.parametrize("command, fmt", [
-    ("check", "pdf"), ("region", "pdf"),
+    ("check", "pdf"), ("region", "pdf"), ("asym", "pdf"),
     ("curve", "csv"), ("curve", "pdf"), ("asym", "svg")])
-def test_cli_rejects_formats_it_cannot_write(tmp_path, command, fmt):
+def test_cli_rejects_formats_it_cannot_write(tmp_path, capsys, command, fmt):
     out = tmp_path / "o8"
     grid = ["--grid", "0.5:1.5:-0.5:0.5:2"] if command == "region" else []
     degrees = [] if command in ("region", "curve") else ["--n", "4"]
     assert main([command, *degrees, *grid,
                  "--out", str(out), "--format", f"json,{fmt}"]) == 2
     assert not out.exists()
+    if fmt == "pdf":
+        # no format writes pdf, so every command refuses it before any
+        # work; asym prints a line per row it computes
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "region", "curve", "asym"])
+@pytest.mark.parametrize("out", ["", "README.md/x"])
+def test_cli_unwritable_out_is_a_configuration_error(
+        tmp_path, capsys, monkeypatch, command, out):
+    # an empty directory name, or one under a regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "README.md").write_text("")
+    small = {"check": ["--n", "3"], "region": ["--grid", "0.5:1.5:-0.5:0.5:2"],
+             "curve": [], "asym": ["--n", "3"]}[command]
+    assert main([command, *small, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_report_is_the_same_whatever_formats_are_written(tmp_path):
+    # formats choose the files, not the run: report.json is byte-identical
+    for fmt in ("json", "json,csv,svg"):
+        assert main(["check", "--n", "5", "--format", fmt,
+                     "--out", str(tmp_path / fmt)]) == 0
+    assert ((tmp_path / "json" / "report.json").read_bytes()
+            == (tmp_path / "json,csv,svg" / "report.json").read_bytes())
 
 
 def test_cli_config_file_precedence(tmp_path):
