@@ -26,8 +26,9 @@ from .flows import IN_E, classify_region, separatrices
 from .kernel import Alpha
 from .levelcurve import trace_level_curve
 from .verify import (DEFAULT_TOLERANCES, ExperimentConfig, GridSpec,
-                     diagnose_root, document, emit, emit_report, region_map,
-                     render_region_svg, render_svg, run_theorem_check)
+                     check_formats, diagnose_root, document, emit, emit_report,
+                     make_out_dir, region_map, render_region_svg, render_svg,
+                     run_theorem_check)
 
 
 def _read_config_file(args) -> None:
@@ -62,9 +63,10 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         n_list = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"bad degree list {text!r}") from None
-    if not n_list or any(n < 1 for n in n_list):
-        raise ConfigError(f"degrees must be a nonempty list of positive "
-                          f"integers, got {text!r}")
+    if (not n_list or n_list[0] < 1
+            or any(b <= a for a, b in zip(n_list, n_list[1:]))):
+        raise ConfigError(f"degrees must be a nonempty, strictly increasing "
+                          f"list of positive integers, got {text!r}")
     return n_list
 
 
@@ -94,11 +96,11 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _parse_formats(text: str) -> tuple[str, ...]:
-    formats = tuple(text.split(","))
-    if not set(formats) <= {"json", "csv", "svg"}:
+def _parse_shift(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
         raise ValueError(text)
-    return formats
+    return value
 
 
 # each option's parser, its default as text, and its help
@@ -111,10 +113,12 @@ _OPTIONS = {
     "tol-boundary": (_parse_tolerance, repr(DEFAULT_TOLERANCES["boundary"]),
                      "margin below which a point is on the region boundary"),
     "grid": (GridSpec.parse, "-1:2:-1.5:1.5:20", "re0:re1:im0:im1:steps"),
-    "shift": (float, "0", "l in b = alpha*n + 1 + l, finite and >= 0"),
+    "shift": (_parse_shift, "0", "l in b = alpha*n + 1 + l, finite and >= 0"),
     "z": (_parse_points, "1.2,0.3", "semicolon list of re,im samples"),
     "out": (str, "out", "output directory"),
-    "format": (_parse_formats, "json", "comma list from json,csv,svg"),
+    # checked against the formats of the command before it runs
+    "format": (lambda text: tuple(text.split(",")), "json",
+               "comma list from json,csv,svg"),
 }
 
 
@@ -214,13 +218,14 @@ def _cmd_asym(s: dict) -> int:
     return 0 if all("error" not in r for r in rows) else 1
 
 
-# each subcommand's handler and options
+# each subcommand's handler, options and the formats it writes
 _COMMON = ("alpha-re", "alpha-im", "tol-boundary", "out", "format")
 _COMMANDS = {
-    "check": (_cmd_check, (*_COMMON, "n", "tol-residual", "shift")),
-    "region": (_cmd_region, (*_COMMON, "grid")),
-    "curve": (_cmd_curve, _COMMON),
-    "asym": (_cmd_asym, (*_COMMON, "n", "z")),
+    "check": (_cmd_check, (*_COMMON, "n", "tol-residual", "shift"),
+              ("json", "csv", "svg")),
+    "region": (_cmd_region, (*_COMMON, "grid"), ("json", "csv", "svg")),
+    "curve": (_cmd_curve, _COMMON, ("json", "svg")),
+    "asym": (_cmd_asym, (*_COMMON, "n", "z"), ("json", "csv")),
 }
 
 
@@ -230,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for zero clustering of a terminating "
                     "hypergeometric family")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options) in _COMMANDS.items():
+    for name, (handler, options, formats) in _COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="flat key = value file of options "
                                           "left unset on the command line")
         for option in options:
             _, default, text = _OPTIONS[option]
             sub.add_argument(f"--{option}", help=f"{text}; default {default}")
-        sub.set_defaults(handler=handler, options=options)
+        sub.set_defaults(handler=handler, options=options, formats=formats)
     return parser
 
 
@@ -247,7 +252,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             _read_config_file(args)
-        return args.handler(_settings(args))
+        settings = _settings(args)
+        # what emission would refuse after the run is refused before it
+        check_formats(settings["format"], args.formats)
+        make_out_dir(settings["out"])
+        return args.handler(settings)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

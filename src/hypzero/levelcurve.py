@@ -1,14 +1,14 @@
 """Tracing the clustering level set and measuring distances to it.
 
-The set ``{z : |z^alpha (1 - z)| = c}`` with c the level constant is the
-level line ``Re psi = log c`` of the w-plane phase, and c is chosen so the
-line passes through the saddle w0 = alpha/(alpha+1), where it self-intersects
-along four local branches.  Each branch is followed by a tangent predictor
-(level lines are orthogonal to the gradient) with a Newton corrector on
-``Re psi``; arcs close when they return to the saddle.  Arcs are labelled by
-the basin classifier: an arc can meet the basin boundary only at the saddle
-itself, since the real part strictly grows along the separatrix away from
-it, so one label per arc is well defined.
+The set ``{z : |z^alpha (1 - z)| = c}`` is the level line ``Re psi = log c``
+of psi(w) = alpha log w + log(1 - w); c puts it through the saddle
+w0 = alpha/(alpha+1), where four branches meet.  Im psi is monotone along
+the line, so each branch is traced as the psi-preimage of a vertical
+segment, by Newton on psi(w) = log c + i y as y steps inside disks where
+psi is one-to-one, and each closed loop once.  An arc can meet the basin
+boundary only at the saddle (the real part grows along the separatrix
+away from it), so one basin label per arc is well defined.  Distances
+project each point onto the level set from its nearest polyline point.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, IndeterminateRegionError, SelectionError,
+from .errors import (AccuracyError, IndeterminateRegionError, SelectionError,
                      TracingError)
 from .flows import BOUNDARY, classify_region
 from .kernel import Alpha, phase, phase_derivative, phase_second_derivative
 from .saddle import level_constant
 
-_MAX_STEPS = 400_000    # corrector steps per branch
-_CORRECTOR_TOL = 1e-9   # largest |Re psi - log c| at a vertex, beside rounding
+_SPAN = 0.2    # largest step radius, as a fraction of |w|, |1 - w| and |w - w0|
 
 
 @dataclass(frozen=True)
@@ -93,90 +92,74 @@ def level_free_radius(alpha: Alpha) -> float:
     return lo if hi < 1.0 else 1.0
 
 
-def _trace_branch(alpha: Alpha, direction: complex, target: float,
-                  resolution: float, corrector_tol: float,
-                  max_arclength: float):
-    """One branch of the level line from the saddle.
+def _solve(alpha: Alpha, goal: complex, w: complex, branch, centre: complex,
+           radius: float):
+    """Newton on psi(w) = goal from w, with psi continued from ``branch``
+    and every iterate in D(centre, radius), to a relative step of 1e-15 or
+    the rounding of psi (its logarithms and 1 - w) over |psi'|."""
+    for _ in range(8):
+        branch = phase(w, 1.0, alpha, branch=branch)
+        dp = phase_derivative(w, 1.0, alpha)
+        step = (branch.value - goal) / dp
+        w -= step
+        if abs(w - centre) > radius:
+            raise TracingError("level-curve Newton left its univalence disk",
+                               {"w": w, "centre": centre, "radius": radius})
+        log_w, log_u = branch.parts
+        noise = (abs(alpha.value) * abs(log_w) + abs(log_u) + abs(goal)
+                 + (1.0 + abs(w)) / abs(1.0 - w)) / abs(dp)
+        if abs(step) <= 1e-15 * (abs(w) + noise):
+            return w, branch
+    raise TracingError("level-curve Newton did not converge", {"w": w})
 
-    Closes on return to the saddle.  For a non-real parameter the curve of
-    the principal ``z^alpha`` ends on the negative real axis: the branch
-    stops at its last vertex before the cut, with ``crossed_cut=True``, as
-    beyond it the continued line spirals off the principal sheet.  A real
-    parameter's modulus is single-valued, so its loop around 0 crosses the
-    axis on the same sheet and closes.  A radius window ends branches that
-    run into 0 or 1 or out to infinity with ``closed=False``; the window
-    around 1 lies inside the disk of :func:`level_free_radius`, which the
-    line never enters.  A branch still open after ``_MAX_STEPS`` steps
-    raises :class:`TracingError`.
+
+def _lift_branch(alpha: Alpha, direction: complex, target: float, h: float):
+    """One branch of the level line from the saddle: the lift of the
+    segment psi = target + i y, from w0 + h d corrected onto the line.
+
+    y moves with the sign of Im(psi''(w0) d^2), by |psi'(p)| r/2 from each
+    vertex p.  On D(p, r), |psi''| <= L = |alpha|/(|p| - r)^2 + 1/(|1 - p|
+    - r)^2 <= m/(1 - _SPAN)^2, and L r <= |psi'(p)|/2, so psi is one-to-one
+    there (Noshiro-Warschawski) and its image contains the disk of radius
+    |psi'(p)| r - L r^2/2 around psi(p): the new vertex is the one
+    preimage in D(p, r).  Near w0, |y - Im psi(w0)| grows as |w - w0|^2,
+    so a vertex within h of w0 with y past twice its start value closes
+    the branch.  A non-real parameter's branch stops before the negative
+    axis (``crossed_cut``), where the principal curve ends; a real one's
+    loop around 0 crosses it on the same sheet.  A window stops branches
+    open near 0, near 1 (inside the disk of :func:`level_free_radius`,
+    which the line never enters) and far out.  A failed Newton solve
+    raises :class:`TracingError`; no arc is returned cut short.
     """
     w0 = alpha.saddle_base
     blowup = 4.0 * (1.0 + abs(w0))
-    pit = 40.0 * resolution
+    pit = 0.04 * abs(w0)
     pit_one = min(pit, 0.5 * level_free_radius(alpha))
-
-    def correct(w, br, h):
-        for _ in range(10):
-            br = phase(w, 1.0, alpha, branch=br)
-            err = br.value.real - target
-            dp = phase_derivative(w, 1.0, alpha)
-            ad = abs(dp)
-            if ad == 0:
-                return w, br, err
-            cancel = abs(w) / abs(1.0 - w) if w != 1.0 else math.inf
-            floor = (1e-14 * (1.0 + abs(br.value.real))
-                     + 2e-15 * (1.0 + abs(alpha.value)) * (1.0 + cancel))
-            if abs(err) <= corrector_tol + floor:
-                return w, br, err
-            step = -err / ad
-            if abs(step) > h:
-                step = math.copysign(h, step)
-            w = w + step * dp.conjugate() / ad
-        return w, br, err
-
-    w = w0 + 2.0 * resolution * direction
+    sign = math.copysign(1.0, (phase_second_derivative(w0, 1.0, alpha)
+                               * direction * direction).imag)
+    y0 = phase(w0, 1.0, alpha).value.imag
+    w = w0 + h * direction
     br = phase(w, 1.0, alpha)
-    w, br, _ = correct(w, br, resolution)
+    y = br.value.imag
+    w, br = _solve(alpha, complex(target, y), w, br, w, 0.5 * h)
+    start = abs(y - y0)
     points = [w0, w]
-    prev_tangent = direction
-    arclength = abs(w - w0)
-    crossed_cut = False
-    closed = False
-
-    steps = 0
-    while arclength < max_arclength:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise TracingError(f"level-curve branch still open after {_MAX_STEPS} "
-                               "steps", {"w": w, "arclength": arclength})
+    closed = crossed_cut = False
+    while True:
         dp = phase_derivative(w, 1.0, alpha)
-        ad = abs(dp)
-        if ad == 0:
-            raise TracingError("level-curve branch hit a stationary point",
-                               {"w": w})
-        tangent = 1j * dp.conjugate() / ad
-        if (tangent.real * prev_tangent.real
-                + tangent.imag * prev_tangent.imag) < 0.0:
-            tangent = -tangent
-        # limit steps near the saddle node and near the branch points
-        h = min(resolution,
-                0.5 * abs(w - w0) + 0.25 * resolution,
-                0.35 * abs(w) + 0.1 * resolution,
-                0.35 * abs(w - 1.0) + 0.1 * resolution)
-        w_new = w + h * tangent
-        w_new, br_new, err = correct(w_new, br, h)
-        if abs(err) > 100.0 * corrector_tol + 1e-10:
-            raise TracingError("level-curve corrector diverged",
-                               {"w": w, "err": err})
+        m = abs(alpha.value) / abs(w) ** 2 + 1.0 / abs(1.0 - w) ** 2
+        r = min(_SPAN * min(abs(w), abs(1.0 - w), max(abs(w - w0), h)),
+                (1.0 - _SPAN) ** 2 * abs(dp) / (2.0 * m))
+        dy = sign * 0.5 * abs(dp) * r
+        y += dy
+        w_new, br = _solve(alpha, complex(target, y), w + 1j * dy / dp, br, w, r)
         if w_new.real < 0.0 and w.imag * w_new.imag < 0.0:
             crossed_cut = True
             if not alpha.is_real_regime:
                 break
-        prev_tangent = w_new - w
-        arclength += abs(w_new - w)
         w = w_new
-        br = br_new
         points.append(w)
-        if arclength > 10.0 * resolution and abs(w - w0) < 1.5 * h:
+        if abs(w - w0) < h and abs(y - y0) > 2.0 * start:
             points.append(w0)
             closed = True
             break
@@ -186,53 +169,40 @@ def _trace_branch(alpha: Alpha, direction: complex, target: float,
 
 
 def trace_level_curve(alpha: Alpha, boundary_tol: float = 1e-6) -> LevelCurve:
-    """Polyline arcs of the level set through the saddle.
-
-    The arclength step is ``1e-3 * |w0|``.  Four branch traces start at the
-    self-intersection; traces that traverse the same loop in opposite
-    directions are deduplicated, and every surviving arc is labelled with
-    its basin.
-    """
+    """Polyline arcs of the level set through the saddle, each labelled
+    with its basin.  A closed arc comes back along the tangent of another
+    branch, which is then not lifted, so each loop is traced once."""
     w0 = alpha.saddle_base
-    resolution = 1e-3 * abs(w0)
-    if 2.0 * abs(1.0 - w0) > _MAX_STEPS * resolution:
-        raise DomainError(f"trace_level_curve: the InE loop through {w0:.3g} "
-                          f"around 1 needs over {_MAX_STEPS} steps of {resolution:.3g}")
     constant = level_constant(alpha)
-    target = math.log(constant)
-    max_arclength = 40.0 * (1.0 + abs(w0))
-
+    directions = _branch_directions(alpha)
     arcs: list[Arc] = []
-    for d in _branch_directions(alpha):
-        pts, closed, crossed = _trace_branch(alpha, d, target, resolution,
-                                             _CORRECTOR_TOL, max_arclength)
-        mid = np.array([pts[len(pts) // 2]])
-        if not any(_min_dist_to_polyline(mid, np.asarray(a.points, dtype=complex))[0]
-                   < 3.0 * resolution for a in arcs):
-            arcs.append(Arc(points=tuple(pts), closed=closed,
-                            region=_label_arc(pts, alpha, boundary_tol),
-                            crossed_cut=crossed))
+    done = set()
+    for k, d in enumerate(directions):
+        if k in done:
+            continue
+        pts, closed, crossed = _lift_branch(alpha, d, math.log(constant),
+                                            1e-3 * abs(w0))
+        if closed:
+            done.add(max(range(4), key=lambda j: (
+                directions[j].conjugate() * (pts[-2] - w0)).real))
+        arcs.append(Arc(points=tuple(pts), closed=closed,
+                        region=_label_arc(pts, alpha, boundary_tol),
+                        crossed_cut=crossed))
     return LevelCurve(constant=constant, arcs=tuple(arcs), crossing_point=w0)
 
 
 def _label_arc(pts, alpha: Alpha, boundary_tol: float) -> str:
-    idx = [len(pts) // 4, len(pts) // 2, (3 * len(pts)) // 4]
-    labels = []
-    for i in idx:
-        w = pts[i]
-        if w == 0 or w == 1:
-            continue
+    # the vertices a quarter, a half and three quarters of the way along
+    cum = np.cumsum(np.abs(np.diff(np.asarray(pts, dtype=complex))))
+    labels = set()
+    for i in 1 + np.searchsorted(cum, cum[-1] * np.array([0.25, 0.5, 0.75])):
         try:
-            lab = classify_region(w, alpha, boundary_tol=boundary_tol)
+            label = classify_region(pts[i], alpha, boundary_tol=boundary_tol).label
         except IndeterminateRegionError:
             continue
-        if lab.label != BOUNDARY:
-            labels.append(lab.label)
-    if not labels:
-        return BOUNDARY
-    if all(l == labels[0] for l in labels):
-        return labels[0]
-    return BOUNDARY
+        if label != BOUNDARY:
+            labels.add(label)
+    return labels.pop() if len(labels) == 1 else BOUNDARY
 
 
 def _project(points, vertices: np.ndarray) -> list[tuple]:
@@ -288,24 +258,53 @@ def coverage_gap(points, curve: LevelCurve) -> float:
         seg_len = np.abs(np.diff(verts))
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         total = cum[-1]
-        params = sorted(cum[i] + t * seg_len[i]
-                        for _, i, t in _project(pts, verts))
-        gaps = np.diff(params)
-        if arc.closed:
-            wrap = params[0] + total - params[-1]
-            gap = max(gaps.max(initial=0.0), wrap)
-        else:
-            gap = max(gaps.max(initial=0.0), params[0],
-                      total - params[-1])
+        params = np.sort([cum[i] + t * seg_len[i]
+                          for _, i, t in _project(pts, verts)])
+        ends = (params[0] + total - params[-1] if arc.closed
+                else max(params[0], total - params[-1]))
+        gap = max(np.diff(params).max(initial=0.0), ends)
         worst = max(worst, gap / total if total > 0 else 1.0)
     return float(worst)
 
 
 def distance_to_curve(points, curve: LevelCurve):
-    """Per-point distance to the admissible arcs, with its max and mean."""
+    """Per-point distance to the admissible arcs, with its max and mean.
+
+    Each point z starts at its nearest polyline point x; where that is an
+    arc end, such as the saddle, the distance is exact.  Each round moves
+    the other x onto the level set by Newton on F = Re psi - log c along
+    grad F = conj psi' (alpha = w0/(1 - w0), principal sheet), then along
+    the tangent until z - x is normal, dividing by 1 - kappa s for the
+    curvature kappa and the normal offset s of z (exact on a circle).  A
+    foot that does not converge raises :class:`AccuracyError`.
+    """
     pts, arcs = _admissible(points, curve, "distance_to_curve")
     dists = np.full(len(pts), np.inf)
+    feet = np.empty(len(pts), dtype=complex)
+    inner = np.ones(len(pts), dtype=bool)
     for arc in arcs:
-        arr = np.asarray(arc.points, dtype=complex)
-        dists = np.minimum(dists, _min_dist_to_polyline(pts, arr))
-    return dists, float(np.max(dists)), float(np.mean(dists))
+        v = np.asarray(arc.points, dtype=complex)
+        for j, (d, i, t) in enumerate(_project(pts, v)):
+            if d < dists[j]:
+                dists[j], feet[j] = d, v[i] + t * (v[i + 1] - v[i])
+                inner[j] = (i, t) not in ((0, 0.0), (len(v) - 2, 1.0))
+    z, x = pts[inner], feet[inner]
+    a = curve.crossing_point / (1.0 - curve.crossing_point)
+    log_c = math.log(curve.constant)
+    for _ in range(30):
+        normal = ((a * np.log(x)).real + np.log(np.abs(1.0 - x)) - log_c) / (
+            a / x - 1.0 / (1.0 - x))
+        x = x - normal
+        dp = a / x - 1.0 / (1.0 - x)
+        tangent = 1j * np.conj(dp) / np.abs(dp)
+        # curvature of w(y) with psi(w(y)) = log c + i y: w' = i/psi',
+        # w'' = psi''/psi'^3
+        kappa = ((a / x ** 2 + 1.0 / (1.0 - x) ** 2) / dp ** 2).real * np.abs(dp)
+        off = np.conj(tangent) * (z - x)
+        slide = tangent * off.real / np.maximum(1.0 - kappa * off.imag, 0.25)
+        x = x + slide
+        if np.all(np.abs(normal) + np.abs(slide) <= 1e-12 * (1.0 + np.abs(x))):
+            dists[inner] = np.abs(z - x)
+            return dists, float(np.max(dists)), float(np.mean(dists))
+    raise AccuracyError("distance_to_curve: a foot on the level set did not "
+                        "converge")

@@ -296,6 +296,22 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
 
 # ---------------------------------------------------------------- emission
 
+def check_formats(formats, writable) -> None:
+    """Refuse, as a configuration error, a format outside ``writable``."""
+    for f in formats:
+        if f not in writable:
+            raise ConfigError(f"cannot write format {f!r}; this command "
+                              f"writes {','.join(writable)}")
+
+
+def make_out_dir(out_dir: str) -> None:
+    """Create ``out_dir``; one that cannot be made is a configuration error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir!r}: {exc}") from None
+
+
 def emit(out_dir: str, formats, writers: dict) -> list[str]:
     """The one write path of every command; returns the created paths.
 
@@ -306,10 +322,7 @@ def emit(out_dir: str, formats, writers: dict) -> list[str]:
     requested format is a configuration error, raised before any writing,
     and so is a directory or file that cannot be written.
     """
-    for f in formats:
-        if f not in writers:
-            raise ConfigError(f"cannot write format {f!r}; this command "
-                              f"writes {','.join(writers)}")
+    check_formats(formats, writers)
     files = []
     for f, write in writers.items():
         if f not in formats:
@@ -322,8 +335,8 @@ def emit(out_dir: str, formats, writers: dict) -> list[str]:
                     "" if v is None else v if isinstance(v, str) else repr(v)
                     for v in row) + "\n" for row in content)
             files.append((os.path.join(out_dir, name), content))
+    make_out_dir(out_dir)
     try:
-        os.makedirs(out_dir, exist_ok=True)
         for path, content in files:
             with open(path, "w") as fh:
                 fh.write(content)

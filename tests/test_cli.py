@@ -78,14 +78,23 @@ def test_cli_ends_in_an_exit_code(tmp_path, argv, config):
 
 
 @pytest.mark.parametrize("eta", ["1e-12", "1e-30"])
-def test_tiny_parameter_is_refused_before_tracing(tmp_path, capsys, eta):
-    # the InE loop passes through w0 ~ eta and goes around w = 1, so it is
-    # at least 2|1 - w0| long: more steps of 1e-3 |w0| than a branch may take
+def test_tiny_parameter_ends_in_a_tracing_error(tmp_path, capsys, eta):
+    # the level curve near w0 ~ eta lies below the rounding of log(1 - w):
+    # the lift's Newton solve fails at once, named, instead of tracing on
     start = time.perf_counter()
     assert main(["check", f"--alpha-re={eta}", "--n=3",
                  f"--out={tmp_path / 'out'}"]) == 1
     assert time.perf_counter() - start < 2.0
-    assert "needs over 400000 steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: level-curve Newton" in err
+    assert "Traceback" not in err
+
+
+def test_small_parameter_check_passes(tmp_path):
+    # the InE loop of alpha = 0.01 passes 0.0099 from 0 and goes around 1:
+    # a fixed step of 1e-3 |w0| could not close it
+    assert main(["check", "--alpha-re", "0.01", "--n", "15",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command, defaults", [

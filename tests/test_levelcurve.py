@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hypzero.errors import SelectionError, TracingError
+from hypzero.errors import HypzeroError, SelectionError
 from hypzero.kernel import Alpha
-from hypzero import levelcurve
 from hypzero.levelcurve import (LevelCurve, _min_dist_to_polyline,
                                 distance_to_curve, level_free_radius,
                                 trace_level_curve)
@@ -103,19 +104,39 @@ def test_level_free_radius_against_circles_around_one(av):
     assert any(highest(rho1 * (1.0 + k / 256)) >= target for k in range(26))
 
 
-def test_branch_open_at_the_step_cap_raises(monkeypatch):
-    # for 1+i the refusal before tracing asks for 1,414 steps of 1e-3 |w0|,
-    # while the InE loop takes 2,522 vertices and the first NotInE branch
-    # 4,605: under a cap of 2,000 steps they are still open, which must not
-    # come back as truncated arcs
-    a = Alpha(1.0, 1.0)
-    resolution = 1e-3 * abs(a.saddle_base)
-    assert 2.0 * abs(1.0 - a.saddle_base) / resolution < 2000
-    in_e = [arc for arc in trace_level_curve(a).arcs if arc.region == "InE"]
-    assert in_e[0].closed and len(in_e[0].points) > 2000
-    monkeypatch.setattr(levelcurve, "_MAX_STEPS", 2000)
-    with pytest.raises(TracingError, match="still open after 2000 steps"):
-        trace_level_curve(a)
+@given(st.floats(0.01, 5.0), st.floats(-3.0, 3.0))
+@example(0.01, 0.0)
+@example(0.02, 0.0)
+@example(0.1, 0.0)
+@example(0.01, 0.01)
+@settings(max_examples=25, deadline=3000, derandomize=True)
+def test_one_closed_ine_loop_or_a_named_error(eta, zeta):
+    # the lift has no step cap: it closes the InE loop around 1, also for
+    # small parameters where a fixed step of 1e-3 |w0| needed 10^5 steps,
+    # or it raises; it never returns the loop cut short
+    try:
+        lc = trace_level_curve(Alpha(eta, zeta))
+    except HypzeroError:
+        return
+    loops = [a for a in lc.arcs
+             if a.region == "InE" and a.closed and not a.crossed_cut]
+    assert len(loops) == 1
+
+
+@pytest.mark.parametrize("av, regions", [
+    ((1.0, 0.0), ["InE", "NotInE"]),
+    ((1.0, 1.0), ["NotInE", "InE", "NotInE"]),
+    ((2.0, -1.0), ["InE", "NotInE", "NotInE"])])
+def test_each_loop_is_traced_once(av, regions):
+    # a closed arc returns to w0 along another branch, which is not traced
+    # again: no two arcs share a vertex but w0
+    lc = trace_level_curve(Alpha(*av))
+    assert [a.region for a in lc.arcs] == regions
+    seen = set()
+    for arc in lc.arcs:
+        own = set(arc.points) - {lc.crossing_point}
+        assert not own & seen
+        seen |= own
 
 
 def test_saddle_identity_on_admissible_arc():
@@ -139,16 +160,28 @@ def test_distance_self_points():
     assert mx <= 1e-3 * abs(lc.crossing_point)
 
 
-def test_distance_matches_bruteforce_vertex_oracle():
-    lc = trace_level_curve(A1)
-    arcs = [a for a in lc.arcs if a.region == "InE" and not a.crossed_cut]
-    verts = np.concatenate([np.asarray(a.points, dtype=complex) for a in arcs])
-    pts = [3.0 + 2.0j, 0.2 - 1.5j, 1.0 + 0.05j]
-    d, _, _ = distance_to_curve(pts, lc)
-    for i, p in enumerate(pts):
-        brute = np.min(np.abs(verts - p))
-        assert d[i] <= brute + 1e-12
-        assert d[i] >= brute - 1.1e-3 * abs(lc.crossing_point)
+def test_distance_matches_dense_ray_oracle():
+    # the InE loop of alpha = 1, |w (1 - w)| = 1/4 around 1, is star-shaped
+    # around 1: bisect its radius on 20,000 rays w = 1 + rho e^(i theta),
+    # below the first maximum of |w (1 - w)| on rays close to w0 = 1/2
+    theta = -math.pi + 2.0 * math.pi * (np.arange(20_000) + 0.5) / 20_000
+    c = np.cos(theta)
+    disc = 9.0 * c * c - 8.0
+    hi = np.where((disc >= 0) & (c < 0),
+                  (-3.0 * c - np.sqrt(np.maximum(disc, 0.0))) / 4.0, 2.0)
+    lo = np.zeros_like(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        w = 1.0 + mid * np.exp(1j * theta)
+        inside = np.abs(w * (1.0 - w)) < 0.25
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    ring = 1.0 + lo * np.exp(1j * theta)
+    ring = np.append(ring, ring[0])
+    pts = np.array([3.0 + 2.0j, 0.2 - 1.5j, 1.0 + 0.05j, 1.2 + 0.5j,
+                    0.6 + 0.3j, 0.55 - 0.02j, 1.9 + 0.01j, 1.0 - 0.7j])
+    d, _, _ = distance_to_curve(pts, trace_level_curve(A1))
+    oracle = _min_dist_to_polyline(pts, ring)
+    assert np.abs(d - oracle).max() <= 1e-6
 
 
 def test_distance_empty_selection_raises():

@@ -326,6 +326,9 @@ def test_cli_rejects_nonpositive_degrees(tmp_path):
     out = str(tmp_path / "nz")
     assert main(["check", "--n", "0", "--out", out]) == 2
     assert main(["check", "--n", "5,-3", "--out", out]) == 2
+    # an order the run would refuse is refused before the directory is made
+    assert main(["check", "--n", "10,5", "--out", out]) == 2
+    assert main(["asym", "--n", "10,10", "--out", out]) == 2
     assert not os.path.exists(out)
 
 
@@ -428,7 +431,14 @@ def test_cli_unwritable_out_is_a_configuration_error(
     (tmp_path / "README.md").write_text("")
     small = {"check": ["--n", "3"], "region": ["--grid", "0.5:1.5:-0.5:0.5:2"],
              "curve": [], "asym": ["--n", "3"]}[command]
+    # refused before the run: no command starts its work
+    calls = []
+    for name in ("run_theorem_check", "trace_level_curve", "region_map",
+                 "classify_region"):
+        monkeypatch.setattr(hypzero.cli, name,
+                            lambda *a, name=name, **k: calls.append(name))
     assert main([command, *small, "--out", out]) == 2
+    assert calls == []
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
