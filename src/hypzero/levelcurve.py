@@ -123,8 +123,8 @@ def _lift_branch(alpha: Alpha, direction: complex, target: float, h: float):
     there (Noshiro-Warschawski) and its image contains the disk of radius
     |psi'(p)| r - L r^2/2 around psi(p): the new vertex is the one
     preimage in D(p, r).  Near w0, |y - Im psi(w0)| grows as |w - w0|^2,
-    so a vertex within h of w0 with y past twice its start value closes
-    the branch.  A non-real parameter's branch stops before the negative
+    so the vertices move away from w0 and the first one back within h of
+    it closes the branch.  A non-real parameter's branch stops before the negative
     axis (``crossed_cut``), where the principal curve ends; a real one's
     loop around 0 crosses it on the same sheet.  A window stops branches
     open near 0, near 1 (inside the disk of :func:`level_free_radius`,
@@ -137,12 +137,10 @@ def _lift_branch(alpha: Alpha, direction: complex, target: float, h: float):
     pit_one = min(pit, 0.5 * level_free_radius(alpha))
     sign = math.copysign(1.0, (phase_second_derivative(w0, 1.0, alpha)
                                * direction * direction).imag)
-    y0 = phase(w0, 1.0, alpha).value.imag
     w = w0 + h * direction
     br = phase(w, 1.0, alpha)
     y = br.value.imag
     w, br = _solve(alpha, complex(target, y), w, br, w, 0.5 * h)
-    start = abs(y - y0)
     points = [w0, w]
     closed = crossed_cut = False
     while True:
@@ -159,7 +157,7 @@ def _lift_branch(alpha: Alpha, direction: complex, target: float, h: float):
                 break
         w = w_new
         points.append(w)
-        if abs(w - w0) < h and abs(y - y0) > 2.0 * start:
+        if abs(w - w0) < h:
             points.append(w0)
             closed = True
             break

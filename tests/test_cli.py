@@ -80,7 +80,7 @@ def test_cli_ends_in_an_exit_code(tmp_path, argv, config):
 @pytest.mark.parametrize("eta", ["1e-12", "1e-30"])
 def test_tiny_parameter_ends_in_a_tracing_error(tmp_path, capsys, eta):
     # the level curve near w0 ~ eta lies below the rounding of log(1 - w):
-    # the lift's Newton solve fails at once, named, instead of tracing on
+    # the lift's first Newton solve fails, and the error names it
     start = time.perf_counter()
     assert main(["check", f"--alpha-re={eta}", "--n=3",
                  f"--out={tmp_path / 'out'}"]) == 1
@@ -91,8 +91,8 @@ def test_tiny_parameter_ends_in_a_tracing_error(tmp_path, capsys, eta):
 
 
 def test_small_parameter_check_passes(tmp_path):
-    # the InE loop of alpha = 0.01 passes 0.0099 from 0 and goes around 1:
-    # a fixed step of 1e-3 |w0| could not close it
+    # the InE loop of alpha = 0.01 passes 0.0099 from 0 and goes around 1,
+    # about 600 |w0| long
     assert main(["check", "--alpha-re", "0.01", "--n", "15",
                  "--out", str(tmp_path / "out")]) == 0
 

@@ -111,9 +111,9 @@ def test_level_free_radius_against_circles_around_one(av):
 @example(0.01, 0.01)
 @settings(max_examples=25, deadline=3000, derandomize=True)
 def test_one_closed_ine_loop_or_a_named_error(eta, zeta):
-    # the lift has no step cap: it closes the InE loop around 1, also for
-    # small parameters where a fixed step of 1e-3 |w0| needed 10^5 steps,
-    # or it raises; it never returns the loop cut short
+    # the InE loop around 1 closes also for small parameters, where it is
+    # hundreds of |w0| long; a lift that cannot close it raises instead of
+    # returning it cut short
     try:
         lc = trace_level_curve(Alpha(eta, zeta))
     except HypzeroError:
