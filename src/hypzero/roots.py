@@ -263,6 +263,12 @@ def find_roots(p: Polynomial, residual_tol: float = 1e-10) -> ZeroSet:
         diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
         diag["bits_solve"] = bits
         radii, disjoint = _inclusion_disks(p, radius, bits, fixed, current)
+        # the disks are certified around the f-bit centres: widen each by the
+        # rounding of its centre to double, at most 2^-53 (|Re z| + |Im z|)
+        # for |z| far above the subnormals, doubled to cover the rounding of
+        # this sum and stepped up past the last one
+        radii = np.nextafter(radii + 2.0 ** -52 * (np.abs(np.real(zeros))
+                                                   + np.abs(np.imag(zeros))), np.inf)
         resid = _residual_bounds(p, zeros, radii)
         distinct = _distinct(zeros, 1e-3 / n)
         diag["max_displacement"] = float(np.max(radii))

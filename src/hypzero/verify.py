@@ -193,9 +193,7 @@ def diagnose_root(n: int, alpha: Alpha, z: complex, *,
                   l: float = 0) -> RootSample:
     """Split-integral diagnostics at ``z``, which the caller classified InE;
     the cancellation test runs in log scale, valid beyond double range."""
-    eps = 1e-4 * (1.0 + abs(1.0 / z))
-    i1 = quadrature.descent_integral(n, alpha, z, epsilon=eps,
-                                     check_region=False, l=l)
+    i1 = quadrature.descent_integral(n, alpha, z, check_region=False, l=l)
     i2 = quadrature.endpoint_integral(n, alpha, z, check_region=False, l=l)
     est = descent_integral_estimate(n, z, alpha, l=l)
     # log|I1 + I2|, summed with the larger piece scaled to modulus 1

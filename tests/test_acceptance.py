@@ -100,7 +100,7 @@ def test_criterion_03_contour_split():
         label = classify_region(z, a)
         assert label.label == IN_E, (a.value, z)
         eu = euler_integral(n, a, z)
-        i1 = descent_integral(n, a, z, epsilon=1e-4, check_region=False)
+        i1 = descent_integral(n, a, z, check_region=False)
         i2 = endpoint_integral(n, a, z, check_region=False)
         diff = abs(eu.value - (i1.value + i2.integral.value))
         budget = (math.exp(eu.abs_error_bound)
@@ -123,8 +123,7 @@ def test_criterion_04_saddle_asymptotics():
         for z in points[(a.eta, a.zeta)]:
             assert classify_region(z, a).label == IN_E, (a.value, z)
             for n in (20, 40, 80):
-                i1 = descent_integral(n, a, z, epsilon=1e-5,
-                                      check_region=False)
+                i1 = descent_integral(n, a, z, check_region=False)
                 est = descent_integral_estimate(n, z, a)
                 ratio = math.exp(i1.log_modulus - est.log_modulus)
                 dev = abs(ratio - 1.0) * n

@@ -90,11 +90,14 @@ def test_tiny_parameter_ends_in_a_tracing_error(tmp_path, capsys, eta):
     assert "Traceback" not in err
 
 
-def test_small_parameter_check_passes(tmp_path):
+def test_small_parameter_check_passes(tmp_path, capsys):
     # the InE loop of alpha = 0.01 passes 0.0099 from 0 and goes around 1,
-    # about 600 |w0| long
-    assert main(["check", "--alpha-re", "0.01", "--n", "15",
-                 "--out", str(tmp_path / "out")]) == 0
+    # about 600 |w0| long; down to 1e-8 the split samples at the saddle
+    # need no trace that could start on a branch point
+    for alpha, degrees in (("0.01", "15"), ("1e-4", "15"), ("1e-8", "3")):
+        assert main(["check", "--alpha-re", alpha, "--n", degrees,
+                     "--out", str(tmp_path / alpha)]) == 0, alpha
+        assert "passed=True" in capsys.readouterr().out, alpha
 
 
 @pytest.mark.parametrize("command, defaults", [

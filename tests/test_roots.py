@@ -19,6 +19,7 @@ from hypzero.verify import ExperimentConfig, emit_report, run_theorem_check
 
 A1 = Alpha(1.0)
 AI = Alpha(1.0, 1.0)
+A2I = Alpha(2.0, -1.0)
 
 # quadratic-formula roots of 1 - (3/2) z + (3/5) z^2, frozen
 N2_ROOT = 1.25 + 0.3227486121839514j
@@ -143,6 +144,29 @@ def test_residuals_are_the_radius_bound_of_their_own_zero(tmp_path, n, alpha):
             assert zs.residuals[i] == pytest.approx(float(want), rel=1e-9)
             assert complex(float(rows[i][0]), float(rows[i][1])) == z
             assert float(rows[i][2]) == zs.residuals[i]
+
+
+@pytest.mark.parametrize("alpha", [A1, AI, A2I])
+def test_each_reported_disk_holds_its_zero(alpha):
+    # an oracle independent of the solver: Newton at 8n + 200 bits on the
+    # monomial basis from each reported double; the true zero must lie in
+    # D(zeros[i], radii[i]) and the true normalized residual at zeros[i]
+    # must be at most residuals[i]
+    for n in (15, 60):
+        zs = find_roots(coefficients(n, alpha))
+        with mp.workprec(8 * n + 200):
+            raw = coefficients_mp(n, alpha.value)[::-1]
+            mass = [abs(c) for c in raw]
+            for z0, rho, resid in zip(zs.zeros, zs.radii, zs.residuals):
+                z = mp.mpc(z0)
+                for _ in range(8):
+                    v, dv = mp.polyval(raw, z, derivative=True)
+                    z -= v / dv
+                assert abs(v / dv) < mp.mpf(2) ** (-4 * n - 100)
+                assert abs(z - z0) <= rho, (n, z0)
+                true_resid = (abs(mp.polyval(raw, mp.mpc(z0)))
+                              / mp.polyval(mass, abs(mp.mpc(z0))))
+                assert true_resid <= resid, (n, z0)
 
 
 def _exact_u(p, radius, u0, bits=400):
