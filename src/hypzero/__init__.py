@@ -7,7 +7,7 @@ finding, and the experiment runner tying them together."""
 from .kernel import Alpha, BranchTrackedValue
 from .hyperpoly import Polynomial, coefficients, evaluate, real_family_coefficients
 from .saddle import SaddleData, descent_integral_estimate, level_constant, saddle_point
-from .flows import PathTrace, RegionLabel, StopRule, classify_region, \
+from .flows import PathTrace, RegionLabel, branch_ends, classify_region, \
     saddle_directions, separatrices, trace_flow
 from .quadrature import ContourIntegral, descent_integral, endpoint_integral, \
     euler_integral

@@ -1,21 +1,13 @@
-"""Steepest ascent/descent tracing and the basin partition.
+"""Steepest paths and level lines of the phase, and the basin partition.
 
-The gradient of the real part of an analytic phase is the conjugate of its
-derivative, so steepest paths solve the unit-speed flow
-
-    dt/ds = +- conj(phase'(t)) / |phase'(t)|,
-
-and are simultaneously level lines of the imaginary part of the phase.  The
-tracer below integrates the flow with an embedded Heun predictor and then
-projects each point back onto the level line with a Newton corrector, which
-keeps the tracked imaginary phase pinned to its initial value instead of
-letting the predictor drift near the logarithmic spiral at the origin.
-
-Two phase functions are traced: the t-plane phase with parameter z, and the
-w-plane phase obtained by the rescaling w = z*t, which is the same function
-with parameter 1.  The basin partition of the w-plane flow decides region
-membership: a point belongs to the admissible region exactly when its
-descent trace terminates at the branch point w = 1.
+Every path traced here is the preimage under the phase phi(t) = alpha
+log(t) + log(1 - z*t) of a straight segment: a steepest descent or ascent
+path (Im phi fixed) of a horizontal ray, a level line of Re phi of a
+vertical segment.  :func:`trace_flow` lifts the segment by Newton in disks
+where phi is one-to-one, so the phase at every vertex is known by
+construction.  The w-plane phase, w = z*t, is the one with z = 1; a point
+z belongs to the admissible region exactly when the w-plane descent from
+it ends at the branch point w = 1.
 """
 
 from __future__ import annotations
@@ -28,54 +20,31 @@ from .errors import (DomainError, IndeterminateRegionError, TracingError)
 from .kernel import (Alpha, BranchTrackedValue, phase, phase_derivative,
                      phase_second_derivative)
 
-ASCENT = "ascent"
-DESCENT = "descent"
+DESCENT = -1        # headings of the phase segment a trace lifts; a level
+ASCENT = 1          # line is lifted along +1j or -1j
 
 ENDPOINT_0 = "Endpoint0"
 ENDPOINT_1 = "Endpoint1"
 ENDPOINT_INFINITY = "EndpointInfinity"
 SADDLE_REACHED = "SaddleReached"
-TRUNCATED = "Truncated"
 
 IN_E = "InE"
 NOT_IN_E = "NotInE"
 BOUNDARY = "Boundary"
 
-_MAX_STEPS = 400_000        # accepted and rejected steps per trace
-_MAX_ARCLENGTH = 400.0
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """Termination bundle for a single trace.
-
-    ``branch_radius`` stops the trace near each branch point; with a complex
-    parameter the descent path winds around the origin on a logarithmic
-    spiral with infinite winding number, so the radius rule (not a step
-    budget) must be what fires there.  Every trace also ends at
-    ``|t| >= 10 (1 + |1/z|)``, after an arclength of ``_MAX_ARCLENGTH`` or
-    after ``_MAX_STEPS`` steps.
-
-    ``capture_radius`` widens only the terminal test at each branch point:
-    a vertex that comes that close ends the trace there.  It is meant for a
-    disk the flow provably cannot leave (see :func:`capture_radius`), so
-    it stays out of the step-size scale, the start check and everything
-    else, and the vertices up to the stop are those of a trace without it.
-    """
-
-    branch_radius: float = 1e-8
-    capture_radius: float = 0.0
-    saddle_radius: float | None = None
+# largest step radius, as a fraction of |t| and |t - 1/z|: near a branch
+# point, where L(r) ~ |alpha|/(|t| - r)^2, 2 - sqrt(3) = (1 - _SPAN)^2/2
+# is also the radius that the bound on phi'' allows (see trace_flow)
+_SPAN = 2.0 - math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
 class PathTrace:
     points: tuple[complex, ...]
     phases: tuple[BranchTrackedValue, ...]
-    direction: str
+    direction: complex      # the heading: DESCENT, ASCENT or +-1j
     terminal: str
-    arclength: float
-    im_phase_drift: float
+    im_phase_drift: float   # largest move of the phase off its segment's line
     min_saddle_distance: float
 
     def to_json_dict(self) -> dict:
@@ -99,145 +68,115 @@ class SaddleDirections:
     ascent: tuple[complex, complex]
 
 
-def _flow_sign(direction: str) -> float:
-    if direction == ASCENT:
-        return 1.0
-    if direction == DESCENT:
-        return -1.0
-    raise DomainError(f"direction must be {ASCENT!r} or {DESCENT!r}")
-
-
-def trace_flow(start: complex, z: complex, alpha: Alpha, direction: str,
-               stop: StopRule = StopRule(), corrector_tol: float = 1e-9,
-               initial_branch: BranchTrackedValue | None = None) -> PathTrace:
-    """Trace the steepest path of the phase through ``start``.
-
-    ``z`` selects the phase function: the t-plane phase for the polynomial
-    parameter z, or the w-plane phase when ``z == 1``.  The phase at the
-    start point is continued from ``initial_branch`` when given (principal
-    otherwise), which lets several traces share one sheet.  The trace stops
-    with a terminal label from the stop rule; corrector failure raises
-    :class:`TracingError` with the last accepted state attached.
-    """
-    sign = _flow_sign(direction)
+def branch_ends(z: complex, *disks):
+    """The stop of a steepest path: a vertex at ``|t| >= 10 (1 + |1/z|)``
+    ends it at infinity, one in the first disk ``(centre, radius,
+    terminal)`` of ``disks`` that holds it with that terminal, and one
+    within 1e-8 of 0 or 1/z there."""
     bp1 = 1.0 / z
+    far = 10.0 * (1.0 + abs(bp1))
+    ends = (*disks, (0.0, 1e-8, ENDPOINT_0), (bp1, 1e-8, ENDPOINT_1))
+
+    def stop(previous, t, branch):
+        if abs(t) >= far:
+            return ENDPOINT_INFINITY
+        for c, r, end in ends:
+            if abs(t - c) <= r:
+                return end
+        return None
+    return stop
+
+
+def _solve(z: complex, alpha: Alpha, goal: complex, t: complex, branch,
+           centre: complex, radius: float, what: str = "trace_flow:"):
+    """Newton on phi(t) = goal from t, with phi continued from ``branch``
+    and every iterate in D(centre, radius), to a relative step of 1e-15 or
+    the rounding of phi (its logarithms and 1 - z t) over |phi'| at the
+    first iterate; a failure raises :class:`TracingError` led by ``what``."""
+    tol = None
+    for _ in range(8):
+        branch = phase(t, z, alpha, branch=branch)
+        dp = phase_derivative(t, z, alpha)
+        if tol is None:
+            log_t, log_u = branch.parts
+            tol = 1e-15 * (abs(t) + (
+                abs(alpha.value) * abs(log_t) + abs(log_u) + abs(goal)
+                + (1.0 + abs(z * t)) / abs(1.0 - z * t)) / abs(dp))
+        step = (branch.value - goal) / dp
+        t -= step
+        if abs(t - centre) > radius:
+            raise TracingError(f"{what} Newton left its univalence disk",
+                               {"t": t, "centre": centre, "radius": radius})
+        if abs(step) <= tol:
+            return t, branch
+    raise TracingError(f"{what} Newton did not converge", {"t": t})
+
+
+def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
+               stop=None,
+               initial_branch: BranchTrackedValue | None = None) -> PathTrace:
+    """The lift of the phase segment from phi(start) along ``heading``:
+    DESCENT or ASCENT for a steepest path, +-1j for a level line.  ``z`` is
+    the polynomial parameter of the t-plane phase, 1 for the w-plane one;
+    the phase at ``start`` is continued from ``initial_branch`` (principal
+    if None), which lets several traces share one sheet.
+
+    From each vertex p the phase moves by s = 0.6 |phi'(p)| r.  On D(p, r),
+    |phi''| <= L(r) = |alpha|/(|p| - r)^2 + 1/(|p - 1/z| - r)^2, which
+    grows with r; r0 = min(_SPAN rho, |phi'(p)|/(2 L(0))), rho =
+    min(|p|, |p - 1/z|), and r = min(r0, |phi'(p)|/(2 L(r0))), so
+    L(r) r <= |phi'(p)|/2: phi is one-to-one on D(p, r) (Noshiro-
+    Warschawski) and its image contains the disk of radius |phi'(p)| r -
+    L r^2/2 >= 0.75 |phi'(p)| r around phi(p).  :func:`_solve` finds the
+    one preimage in D(p, r) from p + s/phi' - phi'' s^2/(2 phi'^3).
+
+    The trace ends at the first vertex for which ``stop(previous vertex,
+    vertex, its phase)`` returns a terminal (:func:`branch_ends` of z if
+    None).  A failed solve raises :class:`TracingError`, as does a step
+    below the rounding of the segment parameter (a path into the saddle).
+    """
+    if heading not in (DESCENT, ASCENT, 1j, -1j):
+        raise DomainError("trace_flow: heading must be -1, +1, 1j or -1j")
+    bp1 = 1.0 / z
+    if start == 0 or start == bp1:
+        raise DomainError("trace_flow: start lies on a branch point")
+    stop = stop or branch_ends(z)
     a = alpha.value
     t_saddle = a / ((a + 1.0) * z)
-    inf_radius = 10.0 * (1.0 + abs(bp1))
-
-    if abs(start) <= stop.branch_radius or abs(start - bp1) <= stop.branch_radius:
-        raise DomainError("trace_flow: start lies on a branch point")
-    end_radius = max(stop.branch_radius, stop.capture_radius)
-
-    def local_scale(t: complex) -> float:
-        # shrink steps near the branch points and near the saddle hairpin
-        return min(abs(t), abs(t - bp1),
-                   abs(t - t_saddle) + 4.0 * stop.branch_radius)
-
-    def unit_field(t: complex) -> complex:
-        d = phase_derivative(t, z, alpha)
-        ad = abs(d)
-        # zero at the saddle; overflowed to nan for z far from the origin
-        if not 0.0 < ad < math.inf:
-            raise TracingError("trace_flow: phase derivative zero or not "
-                               "finite", {"t": t})
-        return sign * d.conjugate() / ad
-
     br = phase(start, z, alpha, branch=initial_branch)
-    target_im = br.value.imag
-    points = [start]
-    phases = [br]
-    t = start
-    arclength = 0.0
-    drift = 0.0
+    phi0 = br.value
+    points, phases = [start], [br]
+    t, tau, drift = start, 0.0, 0.0
     min_saddle = abs(start - t_saddle)
-
-    h = 0.05 * local_scale(start)
-    h_floor = 1e-14 * (1.0 + abs(start))
     terminal = None
-    steps = 0
-
     while terminal is None:
-        steps += 1
-        if steps > _MAX_STEPS:
-            terminal = TRUNCATED
-            break
-        h = min(h, 0.2 * local_scale(t))
-        if h < h_floor:
-            raise TracingError("trace_flow: step size collapsed",
-                               {"t": t, "h": h, "arclength": arclength})
-
-        # embedded Heun predictor: accept only smooth direction changes
-        k1 = unit_field(t)
-        k2 = unit_field(t + h * k1)
-        turn = abs(k2 - k1)
-        if turn > 0.25:
-            h *= 0.5
-            continue
-        t_new = t + 0.5 * h * (k1 + k2)
-
-        # Newton corrector back onto the level line of the imaginary phase
-        ok = False
-        br_new = br
-        for _ in range(8):
-            br_new = phase(t_new, z, alpha, branch=br)
-            err = br_new.value.imag - target_im
-            # rounding floor: the phase is O(log|t|) near the branch points,
-            # and forming 1 - z*t loses digits to cancellation near t = 1/z
-            u = 1.0 - z * t_new
-            cancel = abs(z * t_new) / abs(u) if u != 0 else math.inf
-            floor = (1e-14 * (1.0 + abs(br_new.value.real) + abs(target_im))
-                     + 2e-15 * (1.0 + abs(alpha.value)) * (1.0 + cancel))
-            if abs(err) <= corrector_tol * min(1.0, h) + floor:
-                ok = True
-                break
-            d = phase_derivative(t_new, z, alpha)
-            ad2 = abs(d) ** 2
-            if ad2 == 0.0:
-                break
-            delta = -err * 1j * d.conjugate() / ad2
-            cap = 0.5 * h + 0.1 * local_scale(t_new)
-            if abs(delta) > cap:
-                delta *= cap / abs(delta)
-            t_new = t_new + delta
-        if not ok:
-            h *= 0.5
-            continue
-
-        # strict monotonicity of the real part along the accepted polyline
-        d_re = br_new.value.real - br.value.real
-        if sign * d_re <= 0.0:
-            h *= 0.5
-            continue
-
-        step_len = abs(t_new - t)
-        arclength += step_len
-        t = t_new
-        br = br_new
+        dp = phase_derivative(t, z, alpha)
+        ad = abs(dp)
+        # r0 and r in units of rho, which keeps every factor in double range
+        rho = min(abs(t), abs(t - bp1))
+        x0, x1, g = abs(t) / rho, abs(t - bp1) / rho, 0.5 * ad * rho
+        u = min(_SPAN, g / (abs(a) / (x0 * x0) + 1.0 / (x1 * x1)))
+        u = min(u, g / (abs(a) / ((x0 - u) * (x0 - u))
+                        + 1.0 / ((x1 - u) * (x1 - u))))
+        r = u * rho
+        s = 0.6 * ad * r
+        # s is 0 at the saddle and nan where phi' overflows (t far out)
+        if not tau + s > tau:
+            raise TracingError("trace_flow: step collapsed", {"t": t})
+        tau += s
+        ds = heading * s
+        guess = t + ds / dp - phase_second_derivative(t, z, alpha) * ds * ds / (
+            2.0 * dp * dp * dp)
+        previous = t
+        t, br = _solve(z, alpha, phi0 + heading * tau, guess, br, t, r)
         points.append(t)
         phases.append(br)
-        drift = max(drift, abs(br.value.imag - target_im))
+        drift = max(drift, abs(((br.value - phi0) / heading).imag))
         min_saddle = min(min_saddle, abs(t - t_saddle))
-
-        if abs(t) <= end_radius:
-            terminal = ENDPOINT_0
-        elif abs(t - bp1) <= end_radius:
-            terminal = ENDPOINT_1
-        elif abs(t) >= inf_radius:
-            terminal = ENDPOINT_INFINITY
-        elif (stop.saddle_radius is not None
-              and abs(t - t_saddle) <= stop.saddle_radius):
-            terminal = SADDLE_REACHED
-        elif arclength >= _MAX_ARCLENGTH:
-            terminal = TRUNCATED
-
-        if turn < 0.05:
-            h *= 1.5
-
+        terminal = stop(previous, t, br)
     return PathTrace(points=tuple(points), phases=tuple(phases),
-                     direction=direction, terminal=terminal,
-                     arclength=arclength, im_phase_drift=drift,
-                     min_saddle_distance=min_saddle)
+                     direction=heading, terminal=terminal,
+                     im_phase_drift=drift, min_saddle_distance=min_saddle)
 
 
 def saddle_directions(z: complex, alpha: Alpha) -> SaddleDirections:
@@ -293,7 +232,7 @@ def classify_region(z: complex, alpha: Alpha,
     branch point reached and t_last the last vertex.  The untraced rest of
     the path stays within |t_last - c| of c, because the distance to c keeps
     falling inside the disk.  The bound is at most 2 r_c below the closest
-    approach of a trace run on to ``branch_radius``.
+    approach of a trace run on to 1e-8 of the branch point.
     """
     if z == 0 or z == 1:
         raise DomainError("classify_region: z on a branch point of the w-plane flow")
@@ -304,26 +243,26 @@ def classify_region(z: complex, alpha: Alpha,
     for c, label in ((0.0, NOT_IN_E), (1.0, IN_E)):
         if abs(z - c) <= r_c:
             return RegionLabel(label=label, margin=abs(c - w0) - abs(z - c))
-    rule = StopRule(saddle_radius=boundary_tol, capture_radius=r_c)
-    trace = trace_flow(z, 1.0, alpha, DESCENT, stop=rule)
-    if trace.terminal in (ENDPOINT_0, ENDPOINT_1):
-        c, label = ((1.0, IN_E) if trace.terminal == ENDPOINT_1
-                    else (0.0, NOT_IN_E))
+    # no narrower than the branch radius, which r_c is below for tiny eta
+    reach = max(r_c, 1e-8)
+    stop = branch_ends(1.0, (0.0, reach, NOT_IN_E), (1.0, reach, IN_E),
+                       (w0, boundary_tol, SADDLE_REACHED))
+    trace = trace_flow(z, 1.0, alpha, DESCENT, stop)
+    if trace.terminal in (IN_E, NOT_IN_E):
+        c = 1.0 if trace.terminal == IN_E else 0.0
         bound = abs(c - w0) - abs(trace.points[-1] - c)
-        return RegionLabel(label=label,
+        return RegionLabel(label=trace.terminal,
                            margin=min(trace.min_saddle_distance, bound))
     if trace.terminal == SADDLE_REACHED:
         labels = []
         for d in saddle_directions(1.0, alpha).descent:
-            restart = w0 + 4.0 * max(boundary_tol, rule.branch_radius) * d
+            restart = w0 + 4.0 * max(boundary_tol, 1e-8) * d
             try:
-                sub = trace_flow(restart, 1.0, alpha, DESCENT, stop=rule)
+                sub = trace_flow(restart, 1.0, alpha, DESCENT, stop)
             except TracingError:
                 continue
-            if sub.terminal == ENDPOINT_1:
-                labels.append(IN_E)
-            elif sub.terminal == ENDPOINT_0:
-                labels.append(NOT_IN_E)
+            if sub.terminal in (IN_E, NOT_IN_E):
+                labels.append(sub.terminal)
         if len(set(labels)) == 1:
             return RegionLabel(label=labels[0], margin=trace.min_saddle_distance)
         return RegionLabel(label=BOUNDARY, margin=0.0)
@@ -339,8 +278,5 @@ def separatrices(alpha: Alpha) -> tuple[PathTrace, PathTrace]:
     local quadratic model.
     """
     w0 = alpha.saddle_base
-    dirs = saddle_directions(1.0, alpha).ascent
-    out = []
-    for d in dirs:
-        out.append(trace_flow(w0 + 1e-7 * d, 1.0, alpha, ASCENT))
-    return out[0], out[1]
+    return tuple(trace_flow(w0 + 1e-7 * d, 1.0, alpha, ASCENT)
+                 for d in saddle_directions(1.0, alpha).ascent)

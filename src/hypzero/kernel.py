@@ -11,8 +11,9 @@ instead of fixing a principal branch.  Continuation state is carried in
 :class:`BranchTrackedValue`: at each step the raw principal value of each
 constituent logarithm is corrected by the multiple of ``2*pi*i`` closest to
 the previous value.  This is valid as long as consecutive points keep the
-per-step argument change below ``pi``, which the tracers guarantee through
-step-size control.
+per-step argument change below ``pi``, which the tracer guarantees: each
+lifted step stays within a fraction 2 - sqrt(3) of the distance to either
+branch point (:func:`hypzero.flows.trace_flow`).
 """
 
 from __future__ import annotations
@@ -119,19 +120,23 @@ def phase(t: complex, z: complex, alpha: Alpha,
     u = 1.0 - z * t
     if u == 0:
         raise SingularPointError("phase: t=1/z is a branch point")
-    prev_log_t = branch.parts[0] if branch is not None else None
-    prev_log_u = branch.parts[1] if branch is not None else None
-    log_t = continued_log(t, prev_log_t)
-    log_u = continued_log(u, prev_log_u)
-    val = alpha.value * log_t + log_u
-    return BranchTrackedValue(value=val, parts=(log_t, log_u))
+    log_t, log_u = cmath.log(t), cmath.log(u)
+    if branch is not None:
+        # continued_log's rule, inlined: this runs at every Newton iterate
+        # of every trace
+        prev_t, prev_u = branch.parts
+        log_t = complex(log_t.real, log_t.imag + TWO_PI * round(
+            (prev_t.imag - log_t.imag) / TWO_PI))
+        log_u = complex(log_u.real, log_u.imag + TWO_PI * round(
+            (prev_u.imag - log_u.imag) / TWO_PI))
+    return BranchTrackedValue(alpha.value * log_t + log_u, (log_t, log_u))
 
 
 def phase_parts(t: np.ndarray, z: complex, log_t0, log_u0) -> list[np.ndarray]:
     """Continued ``log(t)`` and ``log(1 - z*t)`` over an array of points, each on
     the branch nearest the anchor parts ``log_t0``, ``log_u0`` broadcast to it
     (:func:`continued_log`'s rule); a point over a quarter turn around 0 or 1/z
-    from its anchor, which step control rules out, raises :class:`TracingError`."""
+    from its anchor, which the tracer's steps rule out, raises :class:`TracingError`."""
     # 1 - z*t with the roundings of the scalar product (numpy fuses them)
     u_re = 1.0 - (z.real * t.real - z.imag * t.imag)
     u_im = 0.0 - (z.real * t.imag + z.imag * t.real)

@@ -4,11 +4,11 @@ The set ``{z : |z^alpha (1 - z)| = c}`` is the level line ``Re psi = log c``
 of psi(w) = alpha log w + log(1 - w); c puts it through the saddle
 w0 = alpha/(alpha+1), where four branches meet.  Im psi is monotone along
 the line, so each branch is traced as the psi-preimage of a vertical
-segment, by Newton on psi(w) = log c + i y as y steps inside disks where
-psi is one-to-one, and each closed loop once.  An arc can meet the basin
-boundary only at the saddle (the real part grows along the separatrix
-away from it), so one basin label per arc is well defined.  Distances
-project each point onto the level set from its nearest polyline point.
+segment by :func:`~hypzero.flows.trace_flow`, and each closed loop once.
+An arc can meet the basin boundary only at the saddle (the real part grows
+along the separatrix away from it), so one basin label per arc is well
+defined.  Distances project each point onto the level set from its nearest
+polyline point.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyError, IndeterminateRegionError, SelectionError,
-                     TracingError)
-from .flows import BOUNDARY, classify_region
-from .kernel import Alpha, phase, phase_derivative, phase_second_derivative
+from .errors import AccuracyError, IndeterminateRegionError, SelectionError
+from .flows import (BOUNDARY, _solve, classify_region, saddle_directions,
+                    trace_flow)
+from .kernel import Alpha, phase
 from .saddle import level_constant
-
-_SPAN = 0.2    # largest step radius, as a fraction of |w|, |1 - w| and |w - w0|
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,6 @@ class LevelCurve:
                 "crossed_cut": a.crossed_cut,
             } for a in self.arcs],
         }
-
-
-def _branch_directions(alpha: Alpha) -> list[complex]:
-    """The four tangents of the level set at its self-intersection."""
-    w0 = alpha.saddle_base
-    beta = cmath.phase(phase_second_derivative(w0, 1.0, alpha))
-    return [cmath.exp(1j * ((s * 0.5 * math.pi - beta) / 2.0 + k * math.pi))
-            for s in (1.0, -1.0) for k in (0, 1)]
 
 
 def level_free_radius(alpha: Alpha) -> float:
@@ -92,78 +82,46 @@ def level_free_radius(alpha: Alpha) -> float:
     return lo if hi < 1.0 else 1.0
 
 
-def _solve(alpha: Alpha, goal: complex, w: complex, branch, centre: complex,
-           radius: float):
-    """Newton on psi(w) = goal from w, with psi continued from ``branch``
-    and every iterate in D(centre, radius), to a relative step of 1e-15 or
-    the rounding of psi (its logarithms and 1 - w) over |psi'|."""
-    for _ in range(8):
-        branch = phase(w, 1.0, alpha, branch=branch)
-        dp = phase_derivative(w, 1.0, alpha)
-        step = (branch.value - goal) / dp
-        w -= step
-        if abs(w - centre) > radius:
-            raise TracingError("level-curve Newton left its univalence disk",
-                               {"w": w, "centre": centre, "radius": radius})
-        log_w, log_u = branch.parts
-        noise = (abs(alpha.value) * abs(log_w) + abs(log_u) + abs(goal)
-                 + (1.0 + abs(w)) / abs(1.0 - w)) / abs(dp)
-        if abs(step) <= 1e-15 * (abs(w) + noise):
-            return w, branch
-    raise TracingError("level-curve Newton did not converge", {"w": w})
-
-
-def _lift_branch(alpha: Alpha, direction: complex, target: float, h: float):
-    """One branch of the level line from the saddle: the lift of the
-    segment psi = target + i y, from w0 + h d corrected onto the line.
-
-    y moves with the sign of Im(psi''(w0) d^2), by |psi'(p)| r/2 from each
-    vertex p.  On D(p, r), |psi''| <= L = |alpha|/(|p| - r)^2 + 1/(|1 - p|
-    - r)^2 <= m/(1 - _SPAN)^2, and L r <= |psi'(p)|/2, so psi is one-to-one
-    there (Noshiro-Warschawski) and its image contains the disk of radius
-    |psi'(p)| r - L r^2/2 around psi(p): the new vertex is the one
-    preimage in D(p, r).  Near w0, |y - Im psi(w0)| grows as |w - w0|^2,
-    so the vertices move away from w0 and the first one back within h of
-    it closes the branch.  A non-real parameter's branch stops before the negative
-    axis (``crossed_cut``), where the principal curve ends; a real one's
-    loop around 0 crosses it on the same sheet.  A window stops branches
-    open near 0, near 1 (inside the disk of :func:`level_free_radius`,
-    which the line never enters) and far out.  A failed Newton solve
-    raises :class:`TracingError`; no arc is returned cut short.
+def _lift_branch(alpha: Alpha, direction: complex, heading: complex,
+                 target: float, h: float):
+    """One branch of the level line: the lift of psi = target + i y along
+    ``heading`` from w0 + h d corrected onto the line.  Near w0,
+    |y - Im psi(w0)| grows as |w - w0|^2, so the vertices move away from w0
+    and the first one back within h of it closes the branch.  A non-real
+    parameter's branch stops before the negative axis (``crossed_cut``),
+    where the principal curve ends; a real one's loop around 0 crosses it
+    on the same sheet.  A window stops branches open near 0, near 1 (inside
+    the disk of :func:`level_free_radius`, which the line never enters) and
+    far out.  A failed solve raises :class:`TracingError`, never returning
+    an arc cut short.
     """
     w0 = alpha.saddle_base
     blowup = 4.0 * (1.0 + abs(w0))
     pit = 0.04 * abs(w0)
     pit_one = min(pit, 0.5 * level_free_radius(alpha))
-    sign = math.copysign(1.0, (phase_second_derivative(w0, 1.0, alpha)
-                               * direction * direction).imag)
     w = w0 + h * direction
-    br = phase(w, 1.0, alpha)
-    y = br.value.imag
-    w, br = _solve(alpha, complex(target, y), w, br, w, 0.5 * h)
-    points = [w0, w]
-    closed = crossed_cut = False
-    while True:
-        dp = phase_derivative(w, 1.0, alpha)
-        m = abs(alpha.value) / abs(w) ** 2 + 1.0 / abs(1.0 - w) ** 2
-        r = min(_SPAN * min(abs(w), abs(1.0 - w), max(abs(w - w0), h)),
-                (1.0 - _SPAN) ** 2 * abs(dp) / (2.0 * m))
-        dy = sign * 0.5 * abs(dp) * r
-        y += dy
-        w_new, br = _solve(alpha, complex(target, y), w + 1j * dy / dp, br, w, r)
-        if w_new.real < 0.0 and w.imag * w_new.imag < 0.0:
-            crossed_cut = True
-            if not alpha.is_real_regime:
-                break
-        w = w_new
-        points.append(w)
+    goal = complex(target, phase(w, 1.0, alpha).value.imag)
+    w, _ = _solve(1.0, alpha, goal, w, None, w, 0.5 * h, "level-curve")
+
+    def stop(previous, w, branch):
+        if (w.real < 0.0 and previous.imag * w.imag < 0.0
+                and not alpha.is_real_regime):
+            return "cut"
         if abs(w - w0) < h:
-            points.append(w0)
-            closed = True
-            break
+            return "closed"
         if abs(w) > blowup or abs(w) < pit or abs(w - 1.0) < pit_one:
-            break
-    return points, closed, crossed_cut
+            return "window"
+        return None
+
+    trace = trace_flow(w, 1.0, alpha, heading, stop)
+    points = [w0, *trace.points]
+    crossed_cut = any(q.real < 0.0 and p.imag * q.imag < 0.0
+                      for p, q in zip(points, points[1:]))
+    if trace.terminal == "cut":
+        points.pop()
+    if trace.terminal == "closed":
+        points.append(w0)
+    return points, trace.terminal == "closed", crossed_cut
 
 
 def trace_level_curve(alpha: Alpha, boundary_tol: float = 1e-6) -> LevelCurve:
@@ -172,17 +130,22 @@ def trace_level_curve(alpha: Alpha, boundary_tol: float = 1e-6) -> LevelCurve:
     branch, which is then not lifted, so each loop is traced once."""
     w0 = alpha.saddle_base
     constant = level_constant(alpha)
-    directions = _branch_directions(alpha)
+    # the four tangents d at w0, half way between the ascent and descent
+    # directions, each with the heading of Im psi along it: +-1j as
+    # Im(psi''(w0) d^2) is +-|psi''(w0)|
+    directions = [(u * cmath.exp(s * 0.25j * math.pi), s * 1j)
+                  for s in (1.0, -1.0)
+                  for u in saddle_directions(1.0, alpha).ascent]
     arcs: list[Arc] = []
     done = set()
-    for k, d in enumerate(directions):
+    for k, (d, heading) in enumerate(directions):
         if k in done:
             continue
-        pts, closed, crossed = _lift_branch(alpha, d, math.log(constant),
-                                            1e-3 * abs(w0))
+        pts, closed, crossed = _lift_branch(alpha, d, heading,
+                                            math.log(constant), 1e-3 * abs(w0))
         if closed:
             done.add(max(range(4), key=lambda j: (
-                directions[j].conjugate() * (pts[-2] - w0)).real))
+                directions[j][0].conjugate() * (pts[-2] - w0)).real))
         arcs.append(Arc(points=tuple(pts), closed=closed,
                         region=_label_arc(pts, alpha, boundary_tol),
                         crossed_cut=crossed))

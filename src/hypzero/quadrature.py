@@ -8,10 +8,11 @@ b = alpha*n + 1 + l moves no contour.
   into a smooth exponential tail.
 * The descent piece, from the origin through the saddle to the branch
   point 1/z: a Beta integral after ``t = s/z``, evaluated in closed form.
-* The endpoint piece, along the steepest-descent path from t = 1 to 1/z,
-  on which ``g(t) / g(1)`` is real in (0, 1]: traced by the flow tracer
-  and integrated by Gauss-Kronrod on the chords of the polyline.  It
-  factors as ``g(1)^n`` times a tail factor whose n-th root tends to 1.
+* The endpoint piece, along the steepest-descent path from t = 1 to 1/z
+  (:func:`~hypzero.flows.trace_flow`), on which ``g(t) / g(1)`` is real in
+  (0, 1]: Gauss-Kronrod on the chords of the polyline, cut where a bound on
+  the rest falls below ``exp(-40) |g(1)|^n``.  It factors as ``g(1)^n``
+  times a tail factor whose n-th root tends to 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RegionError
 from .kernel import Alpha, phase_parts
-from .flows import (DESCENT, ENDPOINT_1, IN_E, PathTrace, StopRule,
+from .flows import (DESCENT, ENDPOINT_1, IN_E, branch_ends, capture_radius,
                     classify_region, trace_flow)
 
 # Kronrod 15 / Gauss 7 on [-1, 1]: (node x >= 0, K weight, G weight), even in x
@@ -185,7 +186,7 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
     v, e = _gk15_array(f, 0.0, 1.0)
     for i in np.flatnonzero(e > 1e-15 * np.maximum(1.0, np.abs(v))):
         v[i], e[i] = _adaptive(lambda s, i=i: f(s, i), 0.0, 1.0,
-                               max(1e-16, 0.05 * e[i]), max_panels=64)
+                               1e-16 * max(1.0, abs(v[i])), max_panels=64)
     length = np.abs(seg[:, 0])
     # scaled integrand is at most ~1 (the shift is its contour maximum); the
     # roundoff floor grows with n + l because the exponent amplifies phase
@@ -194,21 +195,24 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
     return complex(v @ seg[:, 0]), float(err)
 
 
-def _trace_to_inverse(start: complex, z: complex, alpha: Alpha) -> PathTrace:
-    """Descent trace from ``start`` stopped at the tight radius
-    ``1e-9 (1 + |1/z|)`` (or the default one, if smaller) of a branch point."""
-    tight = min(StopRule().branch_radius, 1e-9 * (1.0 + abs(1.0 / z)))
-    return trace_flow(start, z, alpha, DESCENT, stop=StopRule(branch_radius=tight),
-                      corrector_tol=1e-10)
-
-
-def _log_tail_at_inverse(trace: PathTrace, z: complex, n: int, l: float) -> float:
-    """Log bound on ``int t^l g^n`` from the end of ``trace`` to 1/z: inside
-    the stop radius ``|g|^n`` decays like ``dist^n`` and ``|t|^l`` stays
-    below ``(|t_end| + dist)^l``."""
-    dist = abs(trace.points[-1] - 1.0 / z)
-    reach = l * math.log(abs(trace.points[-1]) + dist) if l else 0.0
-    return n * trace.phases[-1].value.real + math.log(dist / (n + 1.0) + 1e-300) + reach
+def _log_tail(t: complex, branch, z: complex, alpha: Alpha, n: int,
+              l: float) -> float:
+    """Log bound on ``int t^l g^n``, l >= 0, from a vertex t of the descent
+    path to 1/z, ``inf`` unless t lies in the disk around 1/z that the path
+    cannot leave (:func:`~hypzero.flows.capture_radius`, scaled by 1/z).
+    There the rest of the path stays in D(1/z, d), d = |t - 1/z|, so the
+    integral equals the one over [t, 1/z], where |1 - z s|^n integrates to
+    |1 - z t|^n d/(n + 1); with q = |z| d < 1, |s| <= |1/z| (1 + q) and
+    arg s (on the sheet of ``branch``) stays within asin q of arg 1/z."""
+    c = 1.0 / z
+    q = abs(z * t - 1.0)
+    if q >= capture_radius(alpha):
+        return math.inf
+    arg_c = branch.parts[0].imag - cmath.phase(z * t)
+    top = (alpha.eta * (math.log(abs(c)) + math.log1p(q)) - alpha.zeta * arg_c
+           + abs(alpha.zeta) * math.asin(q) + math.log(q))
+    return (n * top + math.log(abs(t - c) / (n + 1.0))
+            + l * math.log(abs(c) * (1.0 + q)))
 
 
 def descent_integral(n: int, alpha: Alpha, z: complex, epsilon: float | None = None,
@@ -264,40 +268,49 @@ class EndpointIntegral:
     k_value: complex                # the tail factor K
     k_error: float                  # absolute error on K
     path: tuple[complex, ...]       # trace vertices, t = 1 first
+    sheet: int      # log t at 1/z is Log t0 - Log w0 + 2 pi i sheet
 
 
 def endpoint_integral(n: int, alpha: Alpha, z: complex,
                       check_region: bool = True, *, l: float = 0) -> EndpointIntegral:
-    """``int t^l g^n dt`` from 1/z to 1 along the steepest-descent path from 1.
-
-    On that path ``g(t) / g(1)`` is real and falls from 1 to 0, so it is
-    the implicit path ``g(t) = s g(1)``, s in [0, 1], traced by
-    :func:`_trace_to_inverse` and integrated by the polyline rule; a trace
-    that does not end at 1/z (z outside E) raises :class:`RegionError`.  The integral is
-    returned as ``(1-z)^n * K`` (``t^l`` is 1 at t = 1); K is explicit
-    because its n-th root magnitude is a convergence diagnostic.
-    """
+    """``int t^l g^n dt`` from 1/z to 1 along the steepest-descent path from
+    1, traced from t = 1 on the principal sheet to its first vertex past
+    which the tail is below ``exp(-40) |g(1)|^n`` (:func:`_log_tail`); a
+    path that ends elsewhere (z outside E) raises :class:`RegionError`.
+    The integral is ``(1-z)^n * K``, K explicit as its n-th root magnitude
+    is a convergence diagnostic.  log t at 1/z is the saddle sheet's value
+    of :func:`descent_integral` plus 2 pi i ``sheet``."""
     if n <= 0:
         raise DomainError("endpoint_integral: n must be positive")
-    if z == 1.0:
-        raise DomainError("endpoint_integral: z=1 collapses the path")
     if check_region:
         label = classify_region(z, alpha)
         if label.label != IN_E:
             raise RegionError(f"endpoint_integral: z={z} classifies {label.label}")
 
-    trace = _trace_to_inverse(1.0 + 0j, z, alpha)
+    # |g(1)|^n is the contour maximum; z = 1, where it is 0, starts the
+    # trace on the branch point 1/z, which raises DomainError
+    g1 = 1.0 - z
+    log_mod_end = n * _log_abs(g1)
+    ends = branch_ends(z)
+
+    def stop(previous, t, branch):
+        if _log_tail(t, branch, z, alpha, n, l) < log_mod_end - 40.0:
+            return ENDPOINT_1
+        return ends(previous, t, branch)
+
+    trace = trace_flow(1.0 + 0j, z, alpha, DESCENT, stop)
     if trace.terminal != ENDPOINT_1:
         raise RegionError(f"endpoint_integral: descent from t=1 ends "
                           f"{trace.terminal}, not at 1/z")
-
-    # the trace runs 1 -> 1/z; |g(1)|^n is the contour maximum
-    g1 = 1.0 - z
-    log_mod_end = n * math.log(abs(g1))
     total, err = _polyline_power_integral(trace.points, trace.phases, z, alpha,
                                           n, log_mod_end, l=l)
     k_total = -total * cmath.exp(-1j * n * cmath.phase(g1))
-    k_err = err + math.exp(_log_tail_at_inverse(trace, z, n, l) - log_mod_end)
+    tail = _log_tail(trace.points[-1], trace.phases[-1], z, alpha, n, l)
+    k_err = err + math.exp(tail - log_mod_end)
+    a = alpha.value
+    saddle_sheet = cmath.log(a / ((a + 1.0) * z)) - cmath.log(a / (a + 1.0))
+    sheet = round((trace.phases[-1].parts[0].imag - saddle_sheet.imag)
+                  / (2.0 * math.pi))
 
     integral = ContourIntegral(
         log_modulus=log_mod_end + _log_abs(k_total),
@@ -305,4 +318,5 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
         abs_error_bound=log_mod_end + (math.log(k_err) if k_err > 0 else -math.inf),
     )
     return EndpointIntegral(integral=integral, endpoint_log_modulus=log_mod_end,
-                            k_value=k_total, k_error=k_err, path=trace.points)
+                            k_value=k_total, k_error=k_err, path=trace.points,
+                            sheet=sheet)

@@ -189,20 +189,42 @@ def _sample_indices(count: int) -> list[int]:
             for i in range(_SAMPLES_PER_N)]
 
 
+def split_sum(n: int, alpha: Alpha, descent: quadrature.ContourIntegral,
+              endpoint: quadrature.EndpointIntegral, *,
+              l: float = 0) -> quadrature.ContourIntegral:
+    """The descent piece plus the endpoint piece in log scale, valid beyond
+    double range: the integral over [0, 1], which vanishes at a zero.  The
+    descent piece is first moved onto the endpoint path's sheet at 1/z, by
+    the factor exp(2 pi i k (b - 1)), k = ``endpoint.sheet``, b - 1 =
+    alpha n + l, whose rounding adds 2^-50 |2 pi k (b - 1)| relative to
+    its error bound."""
+    if endpoint.sheet:
+        x = 2j * math.pi * endpoint.sheet * (alpha.value * n + l)
+        log_mod = descent.log_modulus + x.real
+        descent = quadrature.ContourIntegral(
+            log_mod, descent.phase + x.imag, quadrature._log_add(
+                descent.abs_error_bound + x.real,
+                log_mod + math.log(abs(x)) - 50.0 * math.log(2.0)))
+    pieces = (descent, endpoint.integral)
+    # summed with the larger piece scaled to modulus 1
+    top = max(c.log_modulus for c in pieces)
+    total = sum(cmath.exp(complex(c.log_modulus - top, c.phase))
+                for c in pieces)
+    return quadrature.ContourIntegral(
+        top + quadrature._log_abs(total), cmath.phase(total),
+        quadrature._log_add(descent.abs_error_bound,
+                            endpoint.integral.abs_error_bound))
+
+
 def diagnose_root(n: int, alpha: Alpha, z: complex, *,
                   l: float = 0) -> RootSample:
     """Split-integral diagnostics at ``z``, which the caller classified InE;
-    the cancellation test runs in log scale, valid beyond double range."""
+    the pieces cancel when their sum (:func:`split_sum`) is within its
+    error bound."""
     i1 = quadrature.descent_integral(n, alpha, z, check_region=False, l=l)
     i2 = quadrature.endpoint_integral(n, alpha, z, check_region=False, l=l)
     est = descent_integral_estimate(n, z, alpha, l=l)
-    # log|I1 + I2|, summed with the larger piece scaled to modulus 1
-    pieces = (i1, i2.integral)
-    top = max(c.log_modulus for c in pieces)
-    log_split = top + quadrature._log_abs(sum(
-        cmath.exp(complex(c.log_modulus - top, c.phase)) for c in pieces))
-    budget = quadrature._log_add(i1.abs_error_bound,
-                                 i2.integral.abs_error_bound)
+    split = split_sum(n, alpha, i1, i2, l=l)
     return RootSample(
         z=z,
         descent_log_mod=i1.log_modulus,
@@ -212,7 +234,7 @@ def diagnose_root(n: int, alpha: Alpha, z: complex, *,
         one_minus_z_abs=abs(1.0 - z),
         asym_ratio=math.exp(i1.log_modulus - est.log_modulus),
         k_nth_root=abs(i2.k_value) ** (1.0 / n),
-        split_cancels=log_split <= budget,
+        split_cancels=split.log_modulus <= split.abs_error_bound,
     )
 
 

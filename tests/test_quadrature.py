@@ -1,13 +1,15 @@
+import cmath
 import math
 
 import mpmath as mp
 import pytest
 
 from hypzero.errors import DomainError, RegionError
+from hypzero.flows import capture_radius
 from hypzero.hyperpoly import coefficients, evaluate
-from hypzero.kernel import Alpha
-from hypzero.quadrature import (_trace_to_inverse, descent_integral,
-                                endpoint_integral, euler_integral)
+from hypzero.kernel import Alpha, phase
+from hypzero.quadrature import (_log_tail, descent_integral, endpoint_integral,
+                                euler_integral)
 from hypzero.roots import find_roots
 from hypzero.saddle import descent_integral_estimate, saddle_point
 
@@ -133,7 +135,11 @@ def test_endpoint_path_endpoints():
     for (n, a, z) in ((10, A1, 1.2 + 0.3j), (14, AI, 1.1 + 0.4j)):
         res = endpoint_integral(n, a, z, check_region=False)
         assert res.path[0] == 1.0
-        assert abs(res.path[-1] - 1.0 / z) < 1e-4
+        # cut inside the disk around 1/z that the path cannot leave, where
+        # the rest of the integral is below exp(-40) |g(1)|^n
+        end = res.path[-1]
+        tail = _log_tail(end, phase(end, z, a), z, a, n, 0)
+        assert tail < res.endpoint_log_modulus - 40.0
         assert res.integral.log_modulus == pytest.approx(
             res.endpoint_log_modulus + math.log(abs(res.k_value)))
 
@@ -173,12 +179,36 @@ def test_endpoint_k_matches_straight_segment_oracle(a, z):
         assert abs(res.k_value - ref) <= 1e-12 * abs(ref), (n, a.value, z)
 
 
+@pytest.mark.parametrize("a, z", [(A1, 1.2 + 0.3j), (AI, 1.2 + 0.3j),
+                                  (A2I, 1.2 - 0.3j)])
+def test_endpoint_tail_bound_holds_across_its_disk(a, z):
+    # from points all around 1/z in the disk the path cannot leave, the
+    # bound on the tail must cover the integral of |t^l g^n| along the
+    # segment to 1/z, here at 30 digits
+    c = 1.0 / z
+    radius = 0.9 * capture_radius(a) / abs(z)
+    for k in range(8):
+        t = c + radius * cmath.exp(0.25j * math.pi * k)
+        for n in (1, 40):
+            for l in (0, 2):
+                bound = _log_tail(t, phase(t, z, a), z, a, n, l)
+                with mp.workdps(30):
+                    tt, zz = mp.mpc(t), mp.mpc(z)
+                    b = mp.mpc(a.value) * n + l
+
+                    def f(u):
+                        s = 1 / zz + (tt - 1 / zz) * u
+                        return abs(mp.exp(b * mp.log(s)) * (1 - zz * s) ** n)
+                    tail = mp.quad(f, [0, 1]) * abs(tt - 1 / zz)
+                assert float(mp.log(tail)) <= bound, (n, l, k)
+
+
 def test_junction_branch_consistency():
     a, z = AI, 1.1 + 0.4j
     # the descent contour and the endpoint path from t = 1 meet at 1/z; on
     # the acceptance domain their continued phases sit on the same sheet
     from hypzero.flows import DESCENT, ENDPOINT_1, saddle_directions, trace_flow
-    end = _trace_to_inverse(1.0 + 0j, z, a).phases[-1]
+    end = trace_flow(1.0 + 0j, z, a, DESCENT).phases[-1]
     sd = saddle_point(z, a)
     rho = 1e-6 * min(abs(sd.t0), abs(1 / z - sd.t0))
     for d in saddle_directions(z, a).descent:
@@ -262,3 +292,4 @@ def test_descent_closed_form_takes_the_saddle_sheet(alpha, z, n, descent):
     rel = complex(got.log_modulus - log_mod,
                   math.remainder(got.phase - arg, 2.0 * math.pi))
     assert abs(rel) <= 1e-12, (n, alpha, z)
+

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypzero.roots
 from hypzero.errors import DomainError
@@ -146,27 +148,37 @@ def test_residuals_are_the_radius_bound_of_their_own_zero(tmp_path, n, alpha):
             assert float(rows[i][2]) == zs.residuals[i]
 
 
-@pytest.mark.parametrize("alpha", [A1, AI, A2I])
-def test_each_reported_disk_holds_its_zero(alpha):
+def _assert_disks_hold(n, alpha):
     # an oracle independent of the solver: Newton at 8n + 200 bits on the
     # monomial basis from each reported double; the true zero must lie in
     # D(zeros[i], radii[i]) and the true normalized residual at zeros[i]
     # must be at most residuals[i]
+    zs = find_roots(coefficients(n, alpha))
+    with mp.workprec(8 * n + 200):
+        raw = coefficients_mp(n, alpha.value)[::-1]
+        mass = [abs(c) for c in raw]
+        for z0, rho, resid in zip(zs.zeros, zs.radii, zs.residuals):
+            z = mp.mpc(z0)
+            for _ in range(8):
+                v, dv = mp.polyval(raw, z, derivative=True)
+                z -= v / dv
+            assert abs(v / dv) < mp.mpf(2) ** (-4 * n - 100)
+            assert abs(z - z0) <= rho, (n, alpha, z0)
+            true_resid = (abs(mp.polyval(raw, mp.mpc(z0)))
+                          / mp.polyval(mass, abs(mp.mpc(z0))))
+            assert true_resid <= resid, (n, alpha, z0)
+
+
+@pytest.mark.parametrize("alpha", [A1, AI, A2I])
+def test_each_reported_disk_holds_its_zero(alpha):
     for n in (15, 60):
-        zs = find_roots(coefficients(n, alpha))
-        with mp.workprec(8 * n + 200):
-            raw = coefficients_mp(n, alpha.value)[::-1]
-            mass = [abs(c) for c in raw]
-            for z0, rho, resid in zip(zs.zeros, zs.radii, zs.residuals):
-                z = mp.mpc(z0)
-                for _ in range(8):
-                    v, dv = mp.polyval(raw, z, derivative=True)
-                    z -= v / dv
-                assert abs(v / dv) < mp.mpf(2) ** (-4 * n - 100)
-                assert abs(z - z0) <= rho, (n, z0)
-                true_resid = (abs(mp.polyval(raw, mp.mpc(z0)))
-                              / mp.polyval(mass, abs(mp.mpc(z0))))
-                assert true_resid <= resid, (n, z0)
+        _assert_disks_hold(n, alpha)
+
+
+@given(st.floats(0.05, 5.0), st.floats(-3.0, 3.0), st.integers(1, 20))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reported_disks_hold_their_zeros_over_a_parameter_box(eta, zeta, n):
+    _assert_disks_hold(n, Alpha(eta, zeta))
 
 
 def _exact_u(p, radius, u0, bits=400):

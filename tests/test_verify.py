@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -16,7 +17,8 @@ from hypzero.hyperpoly import Polynomial
 from hypzero.roots import find_roots
 from hypzero.kernel import Alpha
 from hypzero.verify import (ExperimentConfig, GridSpec, emit_report,
-                            region_map, render_svg, run_theorem_check)
+                            region_map, render_svg, run_theorem_check,
+                            split_sum)
 
 AI = Alpha(1.0, 1.0)
 
@@ -233,6 +235,28 @@ def test_split_does_not_cancel_away_from_a_zero(n):
     # budgets; at n = 1000 both log-moduli pass -700, beyond double range
     sample = hypzero.verify.diagnose_root(n, Alpha(1.0, 1.0), 1.2 + 0.3j)
     assert not sample.split_cancels
+
+
+@pytest.mark.parametrize("alpha, z, sheet", [((0.5, 1.0), -2.5 + 0j, 1),
+                                             ((0.5, 1.0), -1.77 - 0.31j, 1),
+                                             ((0.5, -1.0), -1.69 + 0.62j, -1)])
+def test_split_pieces_meet_on_one_sheet(alpha, z, sheet):
+    # the endpoint path from t = 1 reaches 1/z with log t off the saddle
+    # sheet by 2 pi i k; moved onto one sheet the two pieces sum to the
+    # integral over [0, 1] (at these InE points the plain sum misses it by
+    # 2.8 to 13,000 times its modulus)
+    a = Alpha(*alpha)
+    for n in (6, 10):
+        i2 = hypzero.quadrature.endpoint_integral(n, a, z)
+        assert i2.sheet == sheet
+        total = split_sum(n, a, hypzero.quadrature.descent_integral(n, a, z),
+                          i2)
+        euler = hypzero.quadrature.euler_integral(n, a, z)
+        miss = abs(cmath.exp(complex(total.log_modulus - euler.log_modulus,
+                                     total.phase - euler.phase)) - 1.0)
+        assert miss <= 1e-12, (n, alpha, z)
+        assert miss <= (math.exp(total.abs_error_bound - euler.log_modulus)
+                        + math.exp(euler.abs_error_bound - euler.log_modulus))
 
 
 def test_real_parameter_distances_strictly_decrease():
