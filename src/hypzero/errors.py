@@ -29,7 +29,7 @@ class AccuracyError(HypzeroError):
 
 
 class TracingError(HypzeroError):
-    """Path tracing failed (corrector divergence, step collapse).
+    """Path tracing failed (Newton divergence, step collapse).
 
     ``diagnostics`` holds the last accepted point and step data.
     """

@@ -128,7 +128,10 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
     L(r) r <= |phi'(p)|/2: phi is one-to-one on D(p, r) (Noshiro-
     Warschawski) and its image contains the disk of radius |phi'(p)| r -
     L r^2/2 >= 0.75 |phi'(p)| r around phi(p).  :func:`_solve` finds the
-    one preimage in D(p, r) from p + s/phi' - phi'' s^2/(2 phi'^3).
+    one preimage in D(p, r) from p + s/phi' - phi'' s^2/(2 phi'^3).  The
+    path between the two vertices lies in D(p, r), so the least |p - t0| - r
+    over the steps, ``min_saddle_distance``, bounds the path's closest
+    approach to the saddle t0 from below.
 
     The trace ends at the first vertex for which ``stop(previous vertex,
     vertex, its phase)`` returns a terminal (:func:`branch_ends` of z if
@@ -146,8 +149,7 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
     br = phase(start, z, alpha, branch=initial_branch)
     phi0 = br.value
     points, phases = [start], [br]
-    t, tau, drift = start, 0.0, 0.0
-    min_saddle = abs(start - t_saddle)
+    t, tau, drift, min_saddle = start, 0.0, 0.0, math.inf
     terminal = None
     while terminal is None:
         dp = phase_derivative(t, z, alpha)
@@ -164,16 +166,15 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
         if not tau + s > tau:
             raise TracingError("trace_flow: step collapsed", {"t": t})
         tau += s
+        min_saddle = min(min_saddle, abs(t - t_saddle) - r)
         ds = heading * s
         guess = t + ds / dp - phase_second_derivative(t, z, alpha) * ds * ds / (
             2.0 * dp * dp * dp)
-        previous = t
         t, br = _solve(z, alpha, phi0 + heading * tau, guess, br, t, r)
         points.append(t)
         phases.append(br)
         drift = max(drift, abs(((br.value - phi0) / heading).imag))
-        min_saddle = min(min_saddle, abs(t - t_saddle))
-        terminal = stop(previous, t, br)
+        terminal = stop(points[-2], t, br)
     return PathTrace(points=tuple(points), phases=tuple(phases),
                      direction=heading, terminal=terminal,
                      im_phase_drift=drift, min_saddle_distance=min_saddle)
@@ -227,12 +228,12 @@ def classify_region(z: complex, alpha: Alpha,
 
     The margin is a lower bound on the closest approach of the descent path
     to the saddle w0, a proxy for the distance to the separatrix that
-    degrades to 0 on the boundary itself: the smaller of the traced
-    vertices' closest approach and |c - w0| - |t_last - c|, where c is the
+    degrades to 0 on the boundary itself: the smaller of the trace's
+    ``min_saddle_distance`` and |c - w0| - |t_last - c|, where c is the
     branch point reached and t_last the last vertex.  The untraced rest of
     the path stays within |t_last - c| of c, because the distance to c keeps
-    falling inside the disk.  The bound is at most 2 r_c below the closest
-    approach of a trace run on to 1e-8 of the branch point.
+    falling inside the disk.  The margin is at most 2 r_c below the
+    ``min_saddle_distance`` of a trace run on to 1e-8 of the branch point.
     """
     if z == 0 or z == 1:
         raise DomainError("classify_region: z on a branch point of the w-plane flow")
@@ -240,7 +241,8 @@ def classify_region(z: complex, alpha: Alpha,
     if abs(z - w0) <= boundary_tol:
         return RegionLabel(label=BOUNDARY, margin=0.0)
     r_c = capture_radius(alpha)
-    for c, label in ((0.0, NOT_IN_E), (1.0, IN_E)):
+    centres = {NOT_IN_E: 0.0, IN_E: 1.0}
+    for label, c in centres.items():
         if abs(z - c) <= r_c:
             return RegionLabel(label=label, margin=abs(c - w0) - abs(z - c))
     # no narrower than the branch radius, which r_c is below for tiny eta
@@ -248,8 +250,8 @@ def classify_region(z: complex, alpha: Alpha,
     stop = branch_ends(1.0, (0.0, reach, NOT_IN_E), (1.0, reach, IN_E),
                        (w0, boundary_tol, SADDLE_REACHED))
     trace = trace_flow(z, 1.0, alpha, DESCENT, stop)
-    if trace.terminal in (IN_E, NOT_IN_E):
-        c = 1.0 if trace.terminal == IN_E else 0.0
+    if trace.terminal in centres:
+        c = centres[trace.terminal]
         bound = abs(c - w0) - abs(trace.points[-1] - c)
         return RegionLabel(label=trace.terminal,
                            margin=min(trace.min_saddle_distance, bound))

@@ -120,16 +120,12 @@ def phase(t: complex, z: complex, alpha: Alpha,
     u = 1.0 - z * t
     if u == 0:
         raise SingularPointError("phase: t=1/z is a branch point")
-    log_t, log_u = cmath.log(t), cmath.log(u)
-    if branch is not None:
-        # continued_log's rule, inlined: this runs at every Newton iterate
-        # of every trace
-        prev_t, prev_u = branch.parts
-        log_t = complex(log_t.real, log_t.imag + TWO_PI * round(
-            (prev_t.imag - log_t.imag) / TWO_PI))
-        log_u = complex(log_u.real, log_u.imag + TWO_PI * round(
-            (prev_u.imag - log_u.imag) / TWO_PI))
-    return BranchTrackedValue(alpha.value * log_t + log_u, (log_t, log_u))
+    prev_log_t = branch.parts[0] if branch is not None else None
+    prev_log_u = branch.parts[1] if branch is not None else None
+    log_t = continued_log(t, prev_log_t)
+    log_u = continued_log(u, prev_log_u)
+    val = alpha.value * log_t + log_u
+    return BranchTrackedValue(value=val, parts=(log_t, log_u))
 
 
 def phase_parts(t: np.ndarray, z: complex, log_t0, log_u0) -> list[np.ndarray]:

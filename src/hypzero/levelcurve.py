@@ -102,11 +102,14 @@ def _lift_branch(alpha: Alpha, direction: complex, heading: complex,
     w = w0 + h * direction
     goal = complex(target, phase(w, 1.0, alpha).value.imag)
     w, _ = _solve(1.0, alpha, goal, w, None, w, 0.5 * h, "level-curve")
+    crossed = False
 
     def stop(previous, w, branch):
-        if (w.real < 0.0 and previous.imag * w.imag < 0.0
-                and not alpha.is_real_regime):
-            return "cut"
+        nonlocal crossed
+        if w.real < 0.0 and previous.imag * w.imag < 0.0:
+            crossed = True
+            if not alpha.is_real_regime:
+                return "cut"
         if abs(w - w0) < h:
             return "closed"
         if abs(w) > blowup or abs(w) < pit or abs(w - 1.0) < pit_one:
@@ -115,13 +118,11 @@ def _lift_branch(alpha: Alpha, direction: complex, heading: complex,
 
     trace = trace_flow(w, 1.0, alpha, heading, stop)
     points = [w0, *trace.points]
-    crossed_cut = any(q.real < 0.0 and p.imag * q.imag < 0.0
-                      for p, q in zip(points, points[1:]))
     if trace.terminal == "cut":
         points.pop()
     if trace.terminal == "closed":
         points.append(w0)
-    return points, trace.terminal == "closed", crossed_cut
+    return points, trace.terminal == "closed", crossed
 
 
 def trace_level_curve(alpha: Alpha, boundary_tol: float = 1e-6) -> LevelCurve:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegionError
+from .errors import AccuracyError, DomainError, RegionError
 from .kernel import Alpha, phase_parts
-from .flows import (DESCENT, ENDPOINT_1, IN_E, branch_ends, capture_radius,
-                    classify_region, trace_flow)
+from .flows import (DESCENT, ENDPOINT_1, IN_E, branch_ends, classify_region,
+                    trace_flow)
 
 # Kronrod 15 / Gauss 7 on [-1, 1]: (node x >= 0, K weight, G weight), even in x
 _GK15 = (
@@ -161,19 +161,19 @@ def euler_integral(n: int, alpha: Alpha, z: complex) -> ContourIntegral:
     )
 
 
-def _polyline_power_integral(points, phases, z, alpha, n: int,
-                             shift: float, *, l: float = 0) -> tuple[complex, float]:
-    """``int t^l g^n dt`` along a traced polyline, scaled by ``exp(-shift)``.
+def _polyline_power_integral(trace, z, alpha, n: int, shift: float,
+                             l: float) -> tuple[complex, float]:
+    """``int t^l g^n dt`` along a trace's polyline, scaled by ``exp(-shift)``.
 
     Branch values from the trace anchor the continuation inside each
     segment, so the integrand is evaluated on the correct sheet even where
     the polyline winds around a branch point.  One GK15 panel covers every
     segment at once; segments it does not resolve are refined one by one.
     """
-    pts = np.asarray(points, dtype=complex)
+    pts = np.asarray(trace.points, dtype=complex)
     p0 = pts[:-1, None]
     seg = pts[1:, None] - p0
-    log_t0, log_u0 = np.array([br.parts for br in phases[:len(seg)]]).T[:, :, None]
+    log_t0, log_u0 = np.array([br.parts for br in trace.phases[:-1]]).T[:, :, None]
 
     def f(s, rows=slice(None)):
         log_t, log_u = phase_parts(p0[rows] + s * seg[rows], z,
@@ -198,15 +198,16 @@ def _polyline_power_integral(points, phases, z, alpha, n: int,
 def _log_tail(t: complex, branch, z: complex, alpha: Alpha, n: int,
               l: float) -> float:
     """Log bound on ``int t^l g^n``, l >= 0, from a vertex t of the descent
-    path to 1/z, ``inf`` unless t lies in the disk around 1/z that the path
-    cannot leave (:func:`~hypzero.flows.capture_radius`, scaled by 1/z).
-    There the rest of the path stays in D(1/z, d), d = |t - 1/z|, so the
-    integral equals the one over [t, 1/z], where |1 - z s|^n integrates to
-    |1 - z t|^n d/(n + 1); with q = |z| d < 1, |s| <= |1/z| (1 + q) and
-    arg s (on the sheet of ``branch``) stays within asin q of arg 1/z."""
+    path to 1/z, ``inf`` unless q = |z t - 1| < 1/(1 + |alpha|), the radius
+    around w = 1 inside which the w-plane descent moves strictly closer to 1
+    (:func:`~hypzero.flows.capture_radius`).  There the rest of the path
+    stays in D(1/z, d), d = |t - 1/z|, so the integral equals the one over
+    [t, 1/z], where |1 - z s|^n integrates to |1 - z t|^n d/(n + 1); as
+    q < 1, |s| <= |1/z| (1 + q) and arg s (on the sheet of ``branch``)
+    stays within asin q of arg 1/z."""
     c = 1.0 / z
     q = abs(z * t - 1.0)
-    if q >= capture_radius(alpha):
+    if q * (1.0 + abs(alpha.value)) >= 1.0:
         return math.inf
     arg_c = branch.parts[0].imag - cmath.phase(z * t)
     top = (alpha.eta * (math.log(abs(c)) + math.log1p(q)) - alpha.zeta * arg_c
@@ -302,15 +303,17 @@ def endpoint_integral(n: int, alpha: Alpha, z: complex,
     if trace.terminal != ENDPOINT_1:
         raise RegionError(f"endpoint_integral: descent from t=1 ends "
                           f"{trace.terminal}, not at 1/z")
-    total, err = _polyline_power_integral(trace.points, trace.phases, z, alpha,
-                                          n, log_mod_end, l=l)
+    total, err = _polyline_power_integral(trace, z, alpha, n, log_mod_end, l)
     k_total = -total * cmath.exp(-1j * n * cmath.phase(g1))
     tail = _log_tail(trace.points[-1], trace.phases[-1], z, alpha, n, l)
     k_err = err + math.exp(tail - log_mod_end)
-    a = alpha.value
-    saddle_sheet = cmath.log(a / ((a + 1.0) * z)) - cmath.log(a / (a + 1.0))
-    sheet = round((trace.phases[-1].parts[0].imag - saddle_sheet.imag)
-                  / (2.0 * math.pi))
+    if not math.isfinite(k_err):
+        raise AccuracyError("endpoint_integral: no finite bound on the tail "
+                            "at the last vertex", achieved=k_err)
+    # Im(Log t0 - Log w0), t0 = w0/z, is arg(1/z) up to a multiple of 2 pi
+    w0 = alpha.saddle_base
+    sheet = round((trace.phases[-1].parts[0].imag - cmath.phase(w0 / z)
+                   + cmath.phase(w0)) / (2.0 * math.pi))
 
     integral = ContourIntegral(
         log_modulus=log_mod_end + _log_abs(k_total),

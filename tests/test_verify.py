@@ -259,6 +259,22 @@ def test_split_pieces_meet_on_one_sheet(alpha, z, sheet):
                         + math.exp(euler.abs_error_bound - euler.log_modulus))
 
 
+def test_tiny_parameter_split_cancels_within_a_finite_bound():
+    # at alpha = 1e-8 the endpoint path stops within 1e-4 of 1/z, far
+    # outside the capture radius eta/2; its tail is bounded in the disk of
+    # radius 1/(1 + |alpha|) around w = 1, where the bound stays finite, so
+    # the cancellation is checked against a bound e^-25 below each piece
+    a = Alpha(1e-8)
+    for z in find_roots(Polynomial(3, a, 1.0)).zeros:
+        assert classify_region(z, a).label == "InE"
+        i2 = hypzero.quadrature.endpoint_integral(3, a, z)
+        assert i2.integral.abs_error_bound < i2.integral.log_modulus - 25.0
+        total = split_sum(3, a, hypzero.quadrature.descent_integral(3, a, z),
+                          i2)
+        assert total.log_modulus <= total.abs_error_bound
+        assert total.abs_error_bound < i2.integral.log_modulus - 25.0
+
+
 def test_real_parameter_distances_strictly_decrease():
     rep = run_theorem_check(ExperimentConfig(alpha=Alpha(1.0),
                                              n_list=(10, 20, 40)))
