@@ -87,12 +87,26 @@ def branch_ends(z: complex, *disks):
     return stop
 
 
+def _step_radius(t: complex, bp1: complex, alpha: Alpha, ad: float) -> float:
+    """Radius r of the univalence disk of the step from t (see
+    :func:`trace_flow`), with ``bp1`` = 1/z and ``ad`` = |phi'(t)|."""
+    a = abs(alpha.value)
+    # r0 and r in units of rho, which keeps every factor in double range
+    d0, d1 = abs(t), abs(t - bp1)
+    rho = min(d0, d1)
+    x0, x1, g = d0 / rho, d1 / rho, 0.5 * ad * rho
+    u = min(_SPAN, g / (a / (x0 * x0) + 1.0 / (x1 * x1)))
+    u = min(u, g / (a / ((x0 - u) * (x0 - u)) + 1.0 / ((x1 - u) * (x1 - u))))
+    return u * rho
+
+
 def _solve(z: complex, alpha: Alpha, goal: complex, t: complex, branch,
            centre: complex, radius: float, what: str = "trace_flow:"):
     """Newton on phi(t) = goal from t, with phi continued from ``branch``
     and every iterate in D(centre, radius), to a relative step of 1e-15 or
     the rounding of phi (its logarithms and 1 - z t) over |phi'| at the
-    first iterate; a failure raises :class:`TracingError` led by ``what``."""
+    first iterate; returns the root, its branch and that stopping step.  A
+    failure raises :class:`TracingError` led by ``what``."""
     tol = None
     for _ in range(8):
         branch = phase(t, z, alpha, branch=branch)
@@ -108,7 +122,7 @@ def _solve(z: complex, alpha: Alpha, goal: complex, t: complex, branch,
             raise TracingError(f"{what} Newton left its univalence disk",
                                {"t": t, "centre": centre, "radius": radius})
         if abs(step) <= tol:
-            return t, branch
+            return t, branch, tol
     raise TracingError(f"{what} Newton did not converge", {"t": t})
 
 
@@ -128,8 +142,12 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
     L(r) r <= |phi'(p)|/2: phi is one-to-one on D(p, r) (Noshiro-
     Warschawski) and its image contains the disk of radius |phi'(p)| r -
     L r^2/2 >= 0.75 |phi'(p)| r around phi(p).  :func:`_solve` finds the
-    one preimage in D(p, r) from p + s/phi' - phi'' s^2/(2 phi'^3).  The
-    path between the two vertices lies in D(p, r), so the least |p - t0| - r
+    one preimage in D(p, r) from p + s/phi' - phi'' s^2/(2 phi'^3).  On
+    D(p, r), |phi'(w)| >= |phi'(p)| (1 - |w - p|/(2r)), so the lift of the
+    step, a phase move of x |phi'(p)| r from phi(p) with x = |goal -
+    phi(p)|/(|phi'(p)| r) (0.6 up to the solve residual at p), stays within
+    2r (1 - sqrt(1 - x)) of p.  Widened by the stopping step of the solve
+    that placed p, this is the step's reach, and the least |p - t0| - reach
     over the steps, ``min_saddle_distance``, bounds the path's closest
     approach to the saddle t0 from below.
 
@@ -150,27 +168,25 @@ def trace_flow(start: complex, z: complex, alpha: Alpha, heading,
     phi0 = br.value
     points, phases = [start], [br]
     t, tau, drift, min_saddle = start, 0.0, 0.0, math.inf
+    tol = 0.0       # stopping step of the solve that placed t; start is exact
     terminal = None
     while terminal is None:
         dp = phase_derivative(t, z, alpha)
         ad = abs(dp)
-        # r0 and r in units of rho, which keeps every factor in double range
-        rho = min(abs(t), abs(t - bp1))
-        x0, x1, g = abs(t) / rho, abs(t - bp1) / rho, 0.5 * ad * rho
-        u = min(_SPAN, g / (abs(a) / (x0 * x0) + 1.0 / (x1 * x1)))
-        u = min(u, g / (abs(a) / ((x0 - u) * (x0 - u))
-                        + 1.0 / ((x1 - u) * (x1 - u))))
-        r = u * rho
+        r = _step_radius(t, bp1, alpha, ad)
         s = 0.6 * ad * r
         # s is 0 at the saddle and nan where phi' overflows (t far out)
         if not tau + s > tau:
             raise TracingError("trace_flow: step collapsed", {"t": t})
         tau += s
-        min_saddle = min(min_saddle, abs(t - t_saddle) - r)
+        goal = phi0 + heading * tau
+        x = min(1.0, abs(goal - br.value) / (ad * r))
+        reach = 2.0 * r * (1.0 - math.sqrt(1.0 - x)) + tol
+        min_saddle = min(min_saddle, abs(t - t_saddle) - reach)
         ds = heading * s
         guess = t + ds / dp - phase_second_derivative(t, z, alpha) * ds * ds / (
             2.0 * dp * dp * dp)
-        t, br = _solve(z, alpha, phi0 + heading * tau, guess, br, t, r)
+        t, br, tol = _solve(z, alpha, goal, guess, br, t, r)
         points.append(t)
         phases.append(br)
         drift = max(drift, abs(((br.value - phi0) / heading).imag))

@@ -101,7 +101,7 @@ def _lift_branch(alpha: Alpha, direction: complex, heading: complex,
     pit_one = min(pit, 0.5 * level_free_radius(alpha))
     w = w0 + h * direction
     goal = complex(target, phase(w, 1.0, alpha).value.imag)
-    w, _ = _solve(1.0, alpha, goal, w, None, w, 0.5 * h, "level-curve")
+    w = _solve(1.0, alpha, goal, w, None, w, 0.5 * h, "level-curve")[0]
     crossed = False
 
     def stop(previous, w, branch):

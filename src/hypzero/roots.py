@@ -4,9 +4,11 @@ Near the clustering curve ``|p|`` is about ``rho^n`` while the monomial
 coefficient mass is about ``C(n, n/2)``: from n = 20 on, the zero annulus
 evaluates to rounding noise in double precision.  The zeros are therefore
 found and certified in the Pfaff variable ``w = z/(z-1)``, whose
-coefficients are bounded, by Aberth-Ehrlich and the Gerschgorin-form
-inclusion test of MPSolve (Carstensen 1991): with Weierstrass corrections
-``W_i``, a disk ``D(u_i, n|W_i|)`` that meets no other holds one zero.
+coefficients are bounded: by Aberth-Ehrlich in fixed point, started from the
+companion eigenvalues of the scaled w-basis polynomial, and by the
+Gerschgorin-form inclusion test of MPSolve (Carstensen 1991): with
+Weierstrass corrections ``W_i``, a disk ``D(u_i, n|W_i|)`` that meets no
+other holds one zero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import AccuracyError, DomainError
 from .hyperpoly import Polynomial, coefficients_mp, pfaff_coefficients_mp  # noqa: F401
 from .kernel import Alpha
 
-_JITTER_SEED = 0x5EED
 # bits of the w-basis solve beyond its estimated conditioning loss
 _SOLVE_MARGIN = 96
 _SLACK = 1e-6   # relative slack on the certificate's bounds, far above their rounding
@@ -51,15 +52,6 @@ class ZeroSet:
         }
 
 
-def _initial_circle(coeffs: np.ndarray, seed: int) -> np.ndarray:
-    n = len(coeffs) - 1
-    radius = 1.1 * (np.max(np.abs(coeffs)) / abs(coeffs[-1])) ** (1.0 / n)
-    rng = np.random.default_rng(seed)
-    jitter = (rng.random(n) - 0.5) * (0.6 * math.pi / n)
-    angles = 2.0 * math.pi * np.arange(n) / n + math.pi / (2.0 * n) + jitter
-    return radius * np.exp(1j * angles)
-
-
 def _to_fixed(c, f: int) -> tuple[int, int]:
     """``c`` as integers ``(re, im)`` with ``f`` fractional bits, truncated."""
     return int(mp.ldexp(c.real, f)), int(mp.ldexp(c.imag, f))
@@ -80,25 +72,24 @@ def _fixed_horner(fixed, x: int, y: int, f: int) -> tuple[int, int, int, int]:
     return pr, pm, dr, dm
 
 
-def _aberth(newton, z: np.ndarray, tol: float,
-            stall: float) -> tuple[np.ndarray, int]:
-    """Jacobi Aberth-Ehrlich sweeps on ``z``, complex or an object array of
-    ``mpc``, where ``newton(z, idx)`` gives ``p/p'`` at ``z[idx]``.  The
-    repulsion runs in double: it shapes the basins, not the fixed points.
-    A root leaves the sweep once its relative update is below ``tol``; the
-    pass ends when none is left, after ``stall`` sweeps in a row in which
-    the largest update did not halve (never, for ``math.inf``), or after
-    ``_MAX_SWEEPS``.
+def _aberth(fixed, f: int, z: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Jacobi Aberth-Ehrlich sweeps on ``z``, an object array of ``mpc``,
+    with ``p/p'`` by :func:`_fixed_horner` on ``fixed`` at ``f`` fractional
+    bits.  The repulsion runs in double: it shapes the basins, not the fixed
+    points.  A root leaves the sweep once its relative update is below
+    ``tol``; the pass ends when none is left, or after ``_MAX_SWEEPS``.
     """
     z = z.copy()
     active = np.arange(len(z))
-    best, stale = math.inf, 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
         zd = z.astype(complex)
         diff = zd[active, None] - zd
         diff[np.arange(len(active)), active] = np.inf
         diff[np.abs(diff) < 1e-250] = 1e-250
-        ratio = newton(z, active)
+        ratio = np.empty(len(active), dtype=object)
+        for j, i in enumerate(active):
+            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z[i], f), f)
+            ratio[j] = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
         den = 1 - ratio * np.sum(1.0 / diff, axis=1)
         w = ratio / np.where(den == 0, 1e-300, den)
         moved = (np.abs(w) / (1 + np.abs(z[active]))).astype(float)
@@ -106,44 +97,17 @@ def _aberth(newton, z: np.ndarray, tol: float,
         keep = moved >= tol
         if not keep.any():
             break
-        halved = moved.max() < 0.5 * best
-        if halved:
-            best = moved.max()
-        stale = 0 if halved else stale + 1
-        if stale >= stall:
-            break
         active = active[keep]
     return z, sweeps
 
 
-def _double_newton(q: np.ndarray):
-    """``p/p'`` for ``p = sum q_k u^k`` by :func:`numpy.polyval`."""
-    desc, ddesc = q[::-1], (q[1:] * np.arange(1, len(q)))[::-1]
-
-    def newton(z, idx):
-        dv = np.polyval(ddesc, z[idx])
-        return np.polyval(desc, z[idx]) / np.where(dv == 0, 1e-300, dv)
-    return newton
-
-
-def _fixed_newton(fixed, f: int):
-    """``p/p'`` by :func:`_fixed_horner` on ``fixed`` with ``f`` fractional
-    bits, as ``mpc`` at the ambient precision."""
-    def newton(z, idx):
-        out = np.empty(len(idx), dtype=object)
-        for j, i in enumerate(idx):
-            pr, pm, dr, dm = _fixed_horner(fixed, *_to_fixed(z[i], f), f)
-            out[j] = mp.mpc(pr, pm) / (mp.mpc(dr, dm) if dr or dm else mp.mpf(1e-300))
-        return out
-    return newton
-
-
 def _pfaff_basis(p: Polynomial) -> tuple[float, np.ndarray, int]:
     """Radius ``r = |d_0/d_n|^(1/n)``, the coefficients of ``q(r*u)`` in
-    double (``|q_0| = |q_n| = 1``: nothing under- or overflows) and the bits
-    of the w-basis solve: the largest term of ``sum_k |q_k| 1.5^k``, on a
-    circle just outside the zeros, exceeds the largest root condition number
-    by 1-7 bits at n = 15..120 (about n bits; 4n in the monomial basis).
+    double (``|q_0| = |q_n| = 1``, the largest ``|q_k|`` near ``2^(0.64 n)``
+    at ``alpha = 1``) and the bits of the w-basis solve: the largest term of
+    ``sum_k |q_k| 1.5^k``, on a circle just outside the zeros, exceeds the
+    largest root condition number by 1-7 bits at n = 15..120 (about n bits;
+    4n in the monomial basis).
     """
     n = p.degree
     k = np.arange(n)
@@ -228,37 +192,28 @@ def _residual_bounds(p: Polynomial, zeros, radii) -> np.ndarray:
 
 def find_roots(p: Polynomial, residual_tol: float = 1e-10) -> ZeroSet:
     """All ``n`` zeros of ``p``, each certified in a disk of radius
-    ``radii[i]``: one Aberth pass in double to ``2^-26``, then one in fixed
-    point at the bits of :func:`_pfaff_basis` to ``2^-(margin/2)``, which
-    puts a root at the ``2^-margin`` floor.  The disks must be disjoint
-    with radii of at most ``0.2/n``, the zeros ``1e-3/n`` apart and the
-    residual bounds at most ``residual_tol``; else the solve goes on at
-    doubled bits, up to three times.  Deterministic for a given input.
-    Raises :class:`DomainError` where q or the double pass leaves the
-    double range (from n = 803 for ``alpha = 1``).
+    ``radii[i]``: one Aberth pass in fixed point at the bits of
+    :func:`_pfaff_basis` to ``2^-(margin/2)``, which puts a root at the
+    ``2^-margin`` floor, from the eigenvalues of the companion matrix of q,
+    backward-stable roots in double (Edelman & Murakami 1995).  The disks
+    must be disjoint with radii of at most ``0.2/n``, the zeros ``1e-3/n``
+    apart and the residual bounds at most ``residual_tol``; else the solve
+    goes on at doubled bits, up to three times.  Deterministic for a given
+    input.  Raises :class:`DomainError` where q leaves the double range
+    (from n = 1596 for ``alpha = 1``).
     """
     n = p.degree
     if n == 0:
         raise DomainError("find_roots: degree-0 polynomial has no roots")
     radius, q, bits = _pfaff_basis(p)
-    # the double pass ends stalled at the rounding floor of q; the
-    # fixed-point pass goes on while the roots migrate, which from n ~ 130
-    # takes more than 25 sweeps without a halving of the largest update
-    with np.errstate(all="ignore"):
-        current, sweeps_double = _aberth(
-            _double_newton(q), _initial_circle(q, _JITTER_SEED), 2.0 ** -26,
-            stall=25)
-    if not np.all(np.isfinite(current)):
-        raise DomainError(f"find_roots: at degree {n} the double Aberth pass "
-                          "leaves the double range")
-    diag: dict = {"sweeps_double": sweeps_double, "escalations": 0}
+    current = np.roots(q[::-1])
+    diag: dict = {"escalations": 0}
     for attempt in range(4):
         fixed = _scaled_fixed(p, radius, bits)
         with mp.workprec(bits):
             u = np.array([mp.mpc(v) for v in current], dtype=object)
-            current, sweeps_mp = _aberth(_fixed_newton(fixed, bits), u,
-                                         2.0 ** (-_SOLVE_MARGIN // 2),
-                                         stall=math.inf)
+            current, sweeps_mp = _aberth(fixed, bits, u,
+                                         2.0 ** (-_SOLVE_MARGIN // 2))
             zeros = [complex(radius * v / (radius * v - 1)) for v in current]
         diag[f"sweeps_mp_{attempt}" if attempt else "sweeps_mp"] = sweeps_mp
         diag["bits_solve"] = bits

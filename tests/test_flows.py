@@ -12,7 +12,7 @@ from hypzero.flows import (ASCENT, BOUNDARY, DESCENT, ENDPOINT_0, ENDPOINT_1,
                            ENDPOINT_INFINITY, IN_E, NOT_IN_E, SADDLE_REACHED,
                            branch_ends, capture_radius, classify_region,
                            saddle_directions, separatrices, trace_flow)
-from hypzero.kernel import Alpha, phase_derivative
+from hypzero.kernel import Alpha, phase_derivative, phase_second_derivative
 from hypzero.levelcurve import _min_dist_to_polyline
 
 A1 = Alpha(1.0)
@@ -170,6 +170,47 @@ def test_capture_stop_matches_full_trace(alpha):
             nearest = min(abs(p - alpha.saddle_base) for p in full.points)
             assert old - slack <= got.margin <= nearest, (alpha, z)
             assert got.margin >= min(old, slack / 2.0)
+
+
+@pytest.mark.parametrize("alpha", [A1, AI, Alpha(2.0, -1.0), Alpha(0.2)])
+def test_step_lifts_stay_within_their_reach(alpha):
+    # replay each trace step by step: the lift of a step's phase segment
+    # from vertex p, sampled at 16 intermediate phase values, lies within
+    # the step's reach 2r(1 - sqrt(1 - x)) plus the stopping step of the
+    # solve that placed p, and min_saddle_distance is the least
+    # |p - w0| - reach; at 0.5 - 0.1i (alpha = 1) a lift passes the nominal
+    # 2r(1 - sqrt(0.4)) near w0
+    w0 = alpha.value / (alpha.value + 1.0)
+    stop = branch_ends(1.0, (w0, 1e-6, SADDLE_REACHED))
+    starts = [complex(re, im) for re in np.linspace(-0.5, 2.0, 4)
+              for im in np.linspace(-1.2, 1.2, 4)] + [0.5 - 0.1j]
+    traces = [trace_flow(z, 1.0, alpha, DESCENT, stop) for z in starts]
+    traces += separatrices(alpha)
+    for trace in traces:
+        heading, phi0 = trace.direction, trace.phases[0].value
+        tau, tol, bound = 0.0, 0.0, math.inf
+        for k, (p, br) in enumerate(zip(trace.points[:-1], trace.phases[:-1])):
+            dp = phase_derivative(p, 1.0, alpha)
+            d2 = phase_second_derivative(p, 1.0, alpha)
+            r = flows._step_radius(p, 1.0, alpha, abs(dp))
+            s = 0.6 * abs(dp) * r
+            goal = phi0 + heading * (tau + s)
+            x = abs(goal - br.value) / (abs(dp) * r)
+            reach = 2.0 * r * (1.0 - math.sqrt(1.0 - x)) + tol
+            bound = min(bound, abs(p - w0) - reach)
+            for j in range(1, 17):
+                g = phi0 + heading * (tau + s * j / 16)
+                ds = g - br.value
+                guess = p + ds / dp - d2 * ds * ds / (2.0 * dp * dp * dp)
+                t = flows._solve(1.0, alpha, g, guess, br, p, r)[0]
+                assert abs(t - p) <= reach, (alpha, trace.points[0], p, j)
+                assert abs(t - w0) >= trace.min_saddle_distance
+            ds = heading * s
+            guess = p + ds / dp - d2 * ds * ds / (2.0 * dp * dp * dp)
+            t, _, tol = flows._solve(1.0, alpha, goal, guess, br, p, r)
+            assert t == trace.points[k + 1]
+            tau += s
+        assert trace.min_saddle_distance == bound, (alpha, trace.points[0])
 
 
 def test_classify_region_traces_through_module_attribute(monkeypatch):

@@ -139,9 +139,9 @@ def test_pfaff_identity(n, alpha, b_offset):
 
 
 def test_coefficients_beyond_double_range_raise():
-    # the double Aberth pass overflows from n = 803 (alpha = 1) on, and the
-    # w-basis coefficients themselves from n = 1596; the error is the
-    # toolkit's own, and no numpy warning escapes
-    for n in (803, 1100, 2000):
+    # the w-basis coefficients leave the double range from n = 1596
+    # (alpha = 1) on; the error is the toolkit's own, and no numpy warning
+    # escapes
+    for n in (1596, 2000):
         with pytest.raises(HypzeroError, match=f"degree {n}"):
             find_roots(coefficients(n, Alpha(1.0)))

@@ -372,7 +372,7 @@ def test_cli_rejects_nonpositive_degrees(tmp_path):
 
 
 def test_cli_degree_beyond_double_range_fails_cleanly(tmp_path, capsys):
-    for n in (1000, 1100):
+    for n in (1596, 2000):
         out = str(tmp_path / f"big{n}")
         code = main(["check", "--n", str(n), "--out", out, "--format", "json"])
         assert code == 1
