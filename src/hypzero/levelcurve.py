@@ -7,8 +7,10 @@ the line, so each branch is traced as the psi-preimage of a vertical
 segment by :func:`~hypzero.flows.trace_flow`, and each closed loop once.
 An arc can meet the basin boundary only at the saddle (the real part grows
 along the separatrix away from it), so one basin label per arc is well
-defined.  Distances project each point onto the level set from its nearest
-polyline point.
+defined.  The zeros cluster on :attr:`LevelCurve.loop`, the closed InE arc
+through w0 around w = 1 (not 0): Im psi grows by 2 pi around it, so the
+limiting zero density d(Im psi)/2 pi puts all its mass there.  Distances and
+coverage are measured to that loop alone.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, IndeterminateRegionError, SelectionError
-from .flows import (BOUNDARY, _solve, classify_region, saddle_directions,
-                    trace_flow)
+from .flows import (BOUNDARY, IN_E, _solve, classify_region,
+                    saddle_directions, trace_flow)
 from .kernel import Alpha, phase
 from .saddle import level_constant
 
@@ -39,6 +41,13 @@ class LevelCurve:
     constant: float
     arcs: tuple[Arc, ...]
     crossing_point: complex
+
+    @property
+    def loop(self) -> Arc | None:
+        """The closed InE arc that does not cross the cut, or None: the one
+        curve that distances and coverage are measured to."""
+        return next((a for a in self.arcs if a.closed and a.region == IN_E
+                     and not a.crossed_cut), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,11 +176,11 @@ def _label_arc(pts, alpha: Alpha, boundary_tol: float) -> str:
     return labels.pop() if len(labels) == 1 else BOUNDARY
 
 
-def _project(points, vertices: np.ndarray) -> list[tuple]:
+def _project(points, vertices: np.ndarray) -> list[np.ndarray]:
     """Nearest point of a polyline to each point, by segment projection:
-    ``(distance, segment index, parameter in [0, 1] along that segment)``.
-    One point at a time: a points-by-segments array would cost megabytes
-    on long arcs."""
+    arrays of the distances, the segment indices and the parameters in
+    [0, 1] along those segments.  One point at a time: a points-by-segments
+    array would cost megabytes on long arcs."""
     a = vertices[:-1]
     ab = np.diff(vertices)
     ab2 = np.abs(ab) ** 2
@@ -182,75 +191,59 @@ def _project(points, vertices: np.ndarray) -> list[tuple]:
         d = np.abs(p - (a + t * ab))
         i = int(np.argmin(d))
         out.append((d[i], i, t[i]))
-    return out
+    return [np.array(column) for column in zip(*out)]
 
 
 def _min_dist_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Distance from each point to a polyline via segment projection."""
-    return np.array([d for d, _, _ in _project(points, vertices)])
+    return _project(points, vertices)[0]
 
 
-def _admissible(points, curve: LevelCurve, caller: str):
-    """The points as an array and the admissible-region arcs on the
-    principal sheet: an arc inside the region can never reach the negative
-    real axis (the left half-plane lies outside it), so arcs that continued
-    across the cut are off-sheet artifacts even when individual far-out
-    samples of them classify as admissible."""
-    arcs = [a for a in curve.arcs if a.region == "InE" and not a.crossed_cut]
-    if not arcs:
-        raise SelectionError(f"{caller}: no admissible arcs")
+def _on_loop(points, curve: LevelCurve, caller: str):
+    """The points as an array, the vertices of ``curve.loop`` and the
+    :func:`_project` of each point onto them."""
+    if curve.loop is None:
+        raise SelectionError(f"{caller}: no closed InE loop")
     pts = np.asarray(list(points), dtype=complex)
     if pts.size == 0:
         raise SelectionError(f"{caller}: no points")
-    return pts, arcs
+    vertices = np.asarray(curve.loop.points, dtype=complex)
+    return pts, vertices, _project(pts, vertices)
 
 
 def coverage_gap(points, curve: LevelCurve) -> float:
-    """Largest fraction of the admissible arcs left unvisited by ``points``.
+    """Largest fraction of the loop left unvisited by ``points``.
 
-    Each point is matched to its nearest arclength parameter on the selected
-    arcs; the result is the largest parameter gap between consecutive
-    matches (closed arcs wrap around), normalized by total arc length.
-    Clustering that fills the whole arc drives this to zero.
+    Each point is matched to its nearest arclength parameter on the loop;
+    the result is the largest parameter gap between consecutive matches,
+    wrapping around through w0, normalized by the loop's length.
+    Clustering that fills the whole loop drives this to zero.  Raises
+    :class:`SelectionError` without a loop or without points.
     """
-    pts, arcs = _admissible(points, curve, "coverage_gap")
-    worst = 0.0
-    for arc in arcs:
-        verts = np.asarray(arc.points, dtype=complex)
-        seg_len = np.abs(np.diff(verts))
-        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        total = cum[-1]
-        params = np.sort([cum[i] + t * seg_len[i]
-                          for _, i, t in _project(pts, verts)])
-        ends = (params[0] + total - params[-1] if arc.closed
-                else max(params[0], total - params[-1]))
-        gap = max(np.diff(params).max(initial=0.0), ends)
-        worst = max(worst, gap / total if total > 0 else 1.0)
-    return float(worst)
+    _, v, (_, seg, t) = _on_loop(points, curve, "coverage_gap")
+    seg_len = np.abs(np.diff(v))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    params = np.sort(cum[seg] + t * seg_len[seg])
+    gap = max(np.diff(params).max(initial=0.0), params[0] + cum[-1] - params[-1])
+    return float(gap / cum[-1])
 
 
 def distance_to_curve(points, curve: LevelCurve):
-    """Per-point distance to the admissible arcs, with its max and mean.
+    """Per-point distance to the loop, with its max and mean.
 
-    Each point z starts at its nearest polyline point x; where that is an
-    arc end, such as the saddle, the distance is exact.  Each round moves
+    Each point z starts at its nearest polyline point x; where that is the
+    loop's end, the saddle w0, the distance is exact.  Each round moves
     the other x onto the level set by Newton on F = Re psi - log c along
     grad F = conj psi' (alpha = w0/(1 - w0), principal sheet), then along
     the tangent until z - x is normal, dividing by 1 - kappa s for the
     curvature kappa and the normal offset s of z (exact on a circle).  A
-    foot that does not converge raises :class:`AccuracyError`.
+    foot that does not converge raises :class:`AccuracyError`; no loop or
+    no points raise :class:`SelectionError`.
     """
-    pts, arcs = _admissible(points, curve, "distance_to_curve")
-    dists = np.full(len(pts), np.inf)
-    feet = np.empty(len(pts), dtype=complex)
-    inner = np.ones(len(pts), dtype=bool)
-    for arc in arcs:
-        v = np.asarray(arc.points, dtype=complex)
-        for j, (d, i, t) in enumerate(_project(pts, v)):
-            if d < dists[j]:
-                dists[j], feet[j] = d, v[i] + t * (v[i + 1] - v[i])
-                inner[j] = (i, t) not in ((0, 0.0), (len(v) - 2, 1.0))
-    z, x = pts[inner], feet[inner]
+    pts, v, (dists, seg, t) = _on_loop(points, curve, "distance_to_curve")
+    inner = ~(((seg == 0) & (t == 0.0)) | ((seg == len(v) - 2) & (t == 1.0)))
+    seg, t = seg[inner], t[inner]
+    z, x = pts[inner], v[seg] + t * (v[seg + 1] - v[seg])
     a = curve.crossing_point / (1.0 - curve.crossing_point)
     log_c = math.log(curve.constant)
     for _ in range(30):

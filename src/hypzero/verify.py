@@ -1,14 +1,16 @@
 """Experiment orchestration: clustering runs, reports, and file emission.
 
 A run builds the polynomial family over a list of degrees, finds all zeros,
-measures their distances to the admissible arcs of the clustering level
-curve, scans for zero-free violations (no zero may sit in the left
-half-plane or classify outside the admissible region), and samples the
-split-integral diagnostics at a few zeros, where the two contour pieces
-must cancel and their n-th root magnitudes approach ``|1 - z|``.
+measures their distances to the closed InE loop of the clustering level
+curve (``LevelCurve.loop``) and how much of it they cover, scans for
+zero-free violations (no zero may sit in the left half-plane or classify
+outside the admissible region), and samples the split-integral diagnostics
+at a few zeros, where the two contour pieces must cancel and their n-th
+root magnitudes approach ``|1 - z|``.  A curve without that loop fails the
+run; its records keep their zeros, labels and samples.
 
-Reports serialize deterministically: fixed seeds, fixed orderings, no
-timestamps, so identical configurations produce bit-identical JSON.
+Reports serialize deterministically: fixed orderings, no timestamps, so
+identical configurations produce bit-identical JSON.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list must be strictly increasing")
+        if set(self.tolerances) != set(DEFAULT_TOLERANCES):
+            raise ConfigError(f"tolerances must be {sorted(DEFAULT_TOLERANCES)}, "
+                              f"got {sorted(self.tolerances)}")
         if not all(math.isfinite(v) and v > 0 for v in self.tolerances.values()):
             raise ConfigError("all tolerances must be positive and finite")
         if not (math.isfinite(self.shift) and self.shift >= 0):
@@ -240,17 +245,13 @@ def diagnose_root(n: int, alpha: Alpha, z: complex, *,
 
 def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
     """Full clustering experiment for the family b = alpha*n + 1 + shift."""
-    curve = trace_level_curve(config.alpha,
-                              boundary_tol=config.tolerances["boundary"])
-    seps = separatrices(config.alpha)
-    # the zeros cluster on the InE loop through w0 around 1: an open or
-    # off-sheet arc measures distances to the wrong set
-    loop_closed = any(a.closed and a.region == IN_E and not a.crossed_cut
-                      for a in curve.arcs)
-    records = []
     boundary_tol = config.tolerances["boundary"]
+    curve = trace_level_curve(config.alpha, boundary_tol=boundary_tol)
+    seps = separatrices(config.alpha)
+    records = []
     for n in config.n_list:
-        flags = [] if loop_closed else ["level curve: no closed InE loop"]
+        # no loop, nothing to measure to: the run fails, the rest is kept
+        flags = [] if curve.loop else ["level curve: no closed InE loop"]
         zeros = None
         distances: tuple[float, ...] = ()
         max_d = math.nan
@@ -264,23 +265,18 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
         try:
             zeros = find_roots(Polynomial(n, config.alpha, 1.0 + config.shift),
                                residual_tol=config.tolerances["residual"])
-            dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve)
-            distances = tuple(float(d) for d in dists)
-            cov = coverage_gap(zeros.zeros, curve)
-            lab_list = []
-            marg_list = []
-            for z, radius in zip(zeros.zeros, zeros.radii):
-                # the inclusion disk, not just its centre, must lie in Re z > 0
-                if z.real <= radius:
-                    lhp += 1
-                lab = classify_region(z, config.alpha,
-                                      boundary_tol=boundary_tol)
-                lab_list.append(lab.label)
-                marg_list.append(lab.margin)
-                if lab.label == NOT_IN_E and lab.margin > boundary_tol:
-                    region_bad += 1
-            labels = tuple(lab_list)
-            margins = tuple(marg_list)
+            if curve.loop:
+                dists, max_d, mean_d = distance_to_curve(zeros.zeros, curve)
+                distances = tuple(float(d) for d in dists)
+                cov = coverage_gap(zeros.zeros, curve)
+            # the inclusion disk, not just its centre, must lie in Re z > 0
+            lhp = sum(z.real <= r for z, r in zip(zeros.zeros, zeros.radii))
+            found = [classify_region(z, config.alpha, boundary_tol=boundary_tol)
+                     for z in zeros.zeros]
+            labels = tuple(lab.label for lab in found)
+            margins = tuple(lab.margin for lab in found)
+            region_bad = sum(lab.label == NOT_IN_E and lab.margin > boundary_tol
+                             for lab in found)
             in_e_idx = [i for i, l in enumerate(labels) if l == IN_E]
             for i in _sample_indices(len(in_e_idx)):
                 z = zeros.zeros[in_e_idx[i]]
@@ -301,9 +297,8 @@ def run_theorem_check(config: ExperimentConfig) -> VerificationReport:
     complete = [r for r in records if r.zeros is not None]
     zero_free_ok = all(r.left_halfplane_violations == 0
                        and r.region_violations == 0 for r in complete)
-    trend_ok = True
-    if len(complete) >= 2:
-        trend_ok = complete[-1].max_distance < complete[0].max_distance
+    trend_ok = (len(complete) < 2
+                or complete[-1].max_distance < complete[0].max_distance)
     # at a zero the two contour pieces sum to the vanishing Euler integral
     samples_ok = all(s.split_cancels for r in records for s in r.samples)
     passed = (zero_free_ok and trend_ok and samples_ok

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypzero.levelcurve import (LevelCurve, _min_dist_to_polyline,
                                 distance_to_curve, level_free_radius,
                                 trace_level_curve)
 from hypzero.saddle import level_constant, saddle_point
+from hypzero.verify import ExperimentConfig, run_theorem_check
 
 A1 = Alpha(1.0)
 # parameters whose InE loop passes within 40 steps (0.04 |w0|) of w = 1
@@ -219,3 +221,20 @@ def test_serialization_shape():
     assert set(d) == {"constant", "crossing_point", "arcs"}
     assert all(set(a) == {"points", "closed", "region", "crossed_cut"}
                for a in d["arcs"])
+
+
+@pytest.mark.parametrize("av", [(0.159, 1.329), (0.4784, -2.8299)])
+def test_an_open_ine_arc_leaves_the_loop_as_the_curve(av):
+    # the zeros cluster on the closed InE loop alone (Im psi grows by 2 pi
+    # around it); an open InE arc beside it is not measured to, so the
+    # coverage gap closes with n as it does for the standard parameters
+    rep = run_theorem_check(ExperimentConfig(Alpha(*av), (15, 60)))
+    assert rep.passed
+    assert any(a.region == "InE" and not a.closed and not a.crossed_cut
+               for a in rep.curve.arcs)
+    gaps = [rec.coverage_gap for rec in rep.records]
+    assert gaps[0] < 0.5 and gaps[1] < gaps[0]
+    loop_only = dataclasses.replace(rep.curve, arcs=(rep.curve.loop,))
+    for rec in rep.records:
+        dists, _, _ = distance_to_curve(rec.zeros.zeros, loop_only)
+        assert list(rec.distances) == dists.tolist()

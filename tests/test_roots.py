@@ -146,6 +146,26 @@ def test_escalation_recorded_for_large_degree():
     assert zs.iterations["max_displacement"] < 0.2 / 50
 
 
+def test_a_failed_certificate_goes_on_at_doubled_bits(monkeypatch):
+    # at 60 bits the pass cannot certify n = 30; the solve doubles them once
+    # and certifies the same zeros as at the bits of _pfaff_basis
+    p = coefficients(30, AI)
+    want = find_roots(p)
+    basis = hypzero.roots._pfaff_basis
+
+    def short(p):
+        radius, q, _ = basis(p)
+        return radius, q, 60
+
+    monkeypatch.setattr(hypzero.roots, "_pfaff_basis", short)
+    zs = find_roots(p)
+    assert zs.iterations["escalations"] == 1
+    assert zs.iterations["bits_solve"] == 120
+    assert "sweeps_mp_1" in zs.iterations
+    assert max(zs.radii) <= 0.2 / 30
+    assert zs.zeros == want.zeros
+
+
 @pytest.mark.parametrize("n,alpha", [(15, AI), (24, A1)])
 def test_residuals_are_the_radius_bound_of_their_own_zero(tmp_path, n, alpha):
     # residuals[i] is rho sum k|c_k|(|z|+rho)^(k-1) / sum |c_k||z|^k at

@@ -42,6 +42,12 @@ def test_config_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=AI, n_list=(5,), shift=bad)
+    # the tolerance keys are exactly the defaults': a missing one would end
+    # the run in a KeyError, an unknown one would only move the config hash
+    for keys in ({"residual": 1e-10},
+                 {"residual": 1e-10, "boundary": 1e-6, "distance": 1e-3}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(alpha=AI, n_list=(5,), tolerances=keys)
 
 
 def test_grid_spec():
@@ -109,6 +115,14 @@ def test_an_open_loop_fails_the_run(monkeypatch):
                and all(s.split_cancels for s in rec.samples)
                for rec in rep.records)
     assert not rep.passed
+    # without a loop nothing is measured, but every zero is still labelled
+    # and sampled
+    for rec in rep.records:
+        assert len(rec.labels) == rec.n and len(rec.margins) == rec.n
+        assert rec.samples
+        assert rec.distances == () and math.isnan(rec.max_distance)
+        assert math.isnan(rec.coverage_gap)
+        assert rec.flags == ("level curve: no closed InE loop",)
 
 
 @pytest.mark.parametrize("av", [(8.0, 0.0), (8.0, 2.0), (12.0, 0.0),
